@@ -101,6 +101,17 @@ int run() {
             << util::fmt_bytes(
                    static_cast<double>(engine_purged.cdb().memory_bits()) / 8)
             << '\n';
+  const core::ClassificationDatabase& unpurged_cdb = engine_unpurged.cdb();
+  if (unpurged_cdb.size() > 0) {
+    std::cout << "resident: " << unpurged_cdb.table_bytes() << " B of flow "
+              << "table for " << unpurged_cdb.size()
+              << " unpurged records = "
+              << util::fmt(static_cast<double>(unpurged_cdb.table_bytes()) /
+                               static_cast<double>(unpurged_cdb.size()),
+                           1)
+              << " B/record (48 B slots at load <= 3/4; paper: 194 bits "
+                 "= 24.25 B)\n";
+  }
   std::cout << "shape check: purged CDB << unpurged CDB at end: "
             << (final_purged * 2 < final_unpurged ? "YES" : "NO") << " ("
             << final_purged << " vs " << final_unpurged << ")\n";

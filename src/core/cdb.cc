@@ -1,12 +1,23 @@
 #include "core/cdb.h"
 
-#include <iterator>
+#include <utility>
 
 #include "util/check.h"
 #include "util/failpoint.h"
-#include "util/rt_guard.h"
 
 namespace iustitia::core {
+
+namespace {
+
+// First allocation: 1024 slots (48 KB), doubled whenever an insert would
+// lift the load above 3/4.
+constexpr std::size_t kInitialSlots = 1024;
+
+bool over_load(std::size_t occupied, std::size_t slots) noexcept {
+  return occupied * 4 > slots * 3;
+}
+
+}  // namespace
 
 ClassificationDatabase::ClassificationDatabase(const CdbOptions& options)
     : options_(options) {
@@ -17,154 +28,238 @@ ClassificationDatabase::ClassificationDatabase(const CdbOptions& options)
   CHECK_GE(options_.reclassify_after_seconds, 0.0);
 }
 
+std::size_t ClassificationDatabase::index_of(
+    const net::FlowId& id) const noexcept {
+  std::size_t i = bucket(id);
+  while (slots_[i].state != FlowSlot::State::kEmpty && !(slots_[i].id == id)) {
+    i = (i + 1) & mask_;
+  }
+  return i;
+}
+
+const FlowSlot* ClassificationDatabase::find(
+    const net::FlowId& id) const noexcept {
+  return slots_.empty() ? &vacant_ : &slots_[index_of(id)];
+}
+
+FlowSlot* ClassificationDatabase::find(const net::FlowId& id) noexcept {
+  return slots_.empty() ? &vacant_ : &slots_[index_of(id)];
+}
+
+// The CDB-hit lane: one probe, timing refresh, two counter stores.
+FlowSlot* ClassificationDatabase::probe(const net::FlowId& id,
+                                        double now) noexcept {
+  add(kLookups, 1);
+  FlowSlot* slot = find(id);
+  if (slot->state == FlowSlot::State::kRecord) {
+    add(kHits, 1);
+    slot->timing.lambda = now - slot->timing.last_arrival;
+    slot->timing.last_arrival = now;
+    slot->referenced = true;
+  }
+  return slot;
+}
+
 std::optional<datagen::FileClass> ClassificationDatabase::lookup(
     const net::FlowId& id, double now) {
-  // The engine's per-packet fast path lands here: the per-shard lock is
-  // uncontended by construction (one worker drives one shard) and the
-  // probe itself never allocates.
-  util::rt::AllowScope allow(util::rt::kBlock);  // analyze: hotpath-allow(may-block, unresolved-call)
-  util::MutexLock lock(mu_);
-  ++stats_.lookups;
-  const auto it = records_.find(id);
-  if (it == records_.end()) return std::nullopt;
-  ++stats_.hits;
-  Record& record = it->second;
-  record.lambda = now - record.last_arrival;
-  record.has_lambda = true;
-  record.last_arrival = now;
-  // Refresh recency: splice relinks the node in place, no allocation.
-  order_.splice(order_.end(), order_, record.order_it);
-  return record.label;
+  const FlowSlot* slot = probe(id, now);
+  if (slot->state != FlowSlot::State::kRecord) return std::nullopt;
+  return slot->file_class();
 }
 
 std::optional<datagen::FileClass> ClassificationDatabase::peek(
     const net::FlowId& id) const {
-  util::MutexLock lock(mu_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return std::nullopt;
-  return it->second.label;
+  const FlowSlot* slot = find(id);
+  if (slot->state != FlowSlot::State::kRecord) return std::nullopt;
+  return slot->file_class();
 }
 
 bool ClassificationDatabase::insert(const net::FlowId& id,
                                     datagen::FileClass label, double now) {
+  FlowSlot* at = find(id);
+  DCHECK(at->state != FlowSlot::State::kPending)
+      << "pending flows belong to the owning engine";
+  return insert_at(at, id, label, now);
+}
+
+void ClassificationDatabase::insert_pending(FlowSlot* at,
+                                            const net::FlowId& id,
+                                            std::uint32_t pending) {
+  DCHECK(at->state == FlowSlot::State::kEmpty);
+  at = claim(at, id);
+  at->state = FlowSlot::State::kPending;
+  at->pending = pending;
+}
+
+FlowSlot* ClassificationDatabase::claim(FlowSlot* at, const net::FlowId& id) {
+  if (over_load(occupied_ + 1, slots_.size())) {
+    grow();
+    at = find(id);
+  }
+  at->id = id;
+  ++occupied_;
+  return at;
+}
+
+bool ClassificationDatabase::insert_at(FlowSlot* at, const net::FlowId& id,
+                                       datagen::FileClass label, double now) {
   // Fault injection: an armed cdb.insert point (error/alloc-fail)
   // simulates the record allocation failing — the flow is just not
-  // cached, which is the designed degradation.  Evaluated before the
-  // lock so the injected path never holds mu_.
+  // cached, which is the designed degradation.
   const util::FailpointAction injected = FAILPOINT("cdb.insert");
-  util::MutexLock lock(mu_);
   if (injected == util::FailpointAction::kError ||
       injected == util::FailpointAction::kAllocFail) {
-    ++stats_.insert_failures;
+    add(kInsertFailures, 1);
+    if (at->state == FlowSlot::State::kPending) erase_pending(at);
     return false;
   }
-  ++stats_.inserts;
+  add(kInserts, 1);
   ++inserts_since_purge_;
-  const auto it = records_.find(id);
-  if (it != records_.end()) {
-    // Overwrite: refresh the payload and recency, keep the node.
-    Record& record = it->second;
-    record.label = label;
-    record.last_arrival = now;
-    record.created_at = now;
-    record.lambda = options_.default_lambda;
-    record.has_lambda = false;
-    order_.splice(order_.end(), order_, record.order_it);
-    return true;
+  if (at->state != FlowSlot::State::kRecord) {
+    // A new record.  Eviction and growth both move slots, so the target
+    // is found again after either.
+    if (options_.max_records > 0 && load(kRecords) >= options_.max_records) {
+      while (load(kRecords) >= options_.max_records) evict_one();
+      at = find(id);
+    }
+    if (at->state == FlowSlot::State::kEmpty) at = claim(at, id);
+    add(kRecords, 1);
   }
-  while (options_.max_records > 0 &&
-         records_.size() >= options_.max_records) {
-    evict_oldest_locked();
-  }
-  order_.push_back(id);
-  Record record;
-  record.label = label;
-  record.last_arrival = now;
-  record.created_at = now;
-  record.lambda = options_.default_lambda;
-  record.has_lambda = false;
-  record.order_it = std::prev(order_.end());
-  records_.emplace(id, record);
+  at->state = FlowSlot::State::kRecord;
+  at->label = static_cast<std::uint8_t>(label);
+  at->referenced = false;
+  at->timing.last_arrival = now;
+  at->timing.lambda = options_.default_lambda;
+  at->timing.created_at = now;
   return true;
 }
 
-void ClassificationDatabase::evict_oldest_locked() {
-  DCHECK(!order_.empty());
-  const auto it = records_.find(order_.front());
-  DCHECK(it != records_.end()) << "order_ out of sync with records_";
-  order_.pop_front();
-  records_.erase(it);
-  ++stats_.forced_evictions;
+void ClassificationDatabase::remove_on_close(const net::FlowId& id) {
+  FlowSlot* slot = find(id);
+  if (slot->state == FlowSlot::State::kRecord) close_record(slot);
 }
 
-void ClassificationDatabase::remove_on_close(const net::FlowId& id) {
+void ClassificationDatabase::close_record(FlowSlot* record) noexcept {
   if (!options_.fin_rst_removal_enabled) return;
-  // FIN/RST teardown on the fast path: same uncontended per-shard lock
-  // as lookup(), plus the freed hash node on erase.
-  util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block, unresolved-call)
-  util::MutexLock lock(mu_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return;
-  order_.erase(it->second.order_it);
-  records_.erase(it);
-  ++stats_.fin_rst_removals;
+  erase_at(static_cast<std::size_t>(record - slots_.data()));
+  add(kFinRstRemovals, 1);
+}
+
+void ClassificationDatabase::erase_pending(FlowSlot* slot) noexcept {
+  DCHECK(slot->state == FlowSlot::State::kPending);
+  erase_at(static_cast<std::size_t>(slot - slots_.data()));
+}
+
+void ClassificationDatabase::erase_at(std::size_t hole) noexcept {
+  if (slots_[hole].state == FlowSlot::State::kRecord) {
+    counters_[kRecords].store(load(kRecords) - 1, std::memory_order_relaxed);
+  }
+  --occupied_;
+  // Backward shift: walk the rest of the probe run and move back every
+  // slot whose home bucket does not lie in (hole, j], so each stays
+  // reachable from its home without tombstones.
+  for (std::size_t j = (hole + 1) & mask_;; j = (j + 1) & mask_) {
+    const FlowSlot& slot = slots_[j];
+    if (slot.state == FlowSlot::State::kEmpty) break;
+    const std::size_t home = bucket(slot.id);
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slot;
+      hole = j;
+    }
+  }
+  slots_[hole].state = FlowSlot::State::kEmpty;
+}
+
+void ClassificationDatabase::grow() {
+  std::vector<FlowSlot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, FlowSlot{});
+  mask_ = slots_.size() - 1;
+  hand_ = 0;
+  for (const FlowSlot& slot : old) {
+    if (slot.state == FlowSlot::State::kEmpty) continue;
+    std::size_t i = bucket(slot.id);
+    while (slots_[i].state != FlowSlot::State::kEmpty) i = (i + 1) & mask_;
+    slots_[i] = slot;
+  }
+}
+
+void ClassificationDatabase::evict_one() noexcept {
+  // CLOCK: a referenced record loses its bit and is passed over; the
+  // first unreferenced record under the hand goes.  At least one record
+  // exists (the ceiling is positive), so this ends within two laps.
+  for (;; hand_ = (hand_ + 1) & mask_) {
+    FlowSlot& slot = slots_[hand_];
+    if (slot.state != FlowSlot::State::kRecord) continue;
+    if (slot.referenced) {
+      slot.referenced = false;
+      continue;
+    }
+    // The hand stays put: the slot shifted into this index is next.
+    erase_at(hand_);
+    add(kForcedEvictions, 1);
+    return;
+  }
 }
 
 void ClassificationDatabase::maybe_purge(double now) {
   if (!options_.inactivity_purge_enabled) return;
-  util::MutexLock lock(mu_);
   if (inserts_since_purge_ < options_.purge_trigger_flows) return;
-  purge_locked(now);
+  purge(now);
   inserts_since_purge_ = 0;
 }
 
 std::size_t ClassificationDatabase::purge(double now) {
-  util::MutexLock lock(mu_);
-  return purge_locked(now);
-}
-
-std::size_t ClassificationDatabase::purge_locked(double now) {
   if (!options_.inactivity_purge_enabled) return 0;
-  ++stats_.purge_runs;
-  const std::size_t size_before = records_.size();
+  add(kPurgeRuns, 1);
+  if (slots_.empty()) return 0;
+  // One sweep over the slots, starting just past an empty one: no probe
+  // run crosses the start, so the backward shift of an erase only moves
+  // slots to indices the sweep has not passed yet.  After an erase the
+  // same index is examined again.
+  const std::size_t records_before = load(kRecords);
+  std::size_t start = 0;
+  while (slots_[start].state != FlowSlot::State::kEmpty) ++start;
   std::size_t inactive = 0;
   std::size_t stale = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    const Record& record = it->second;
-    const double lambda =
-        record.has_lambda ? record.lambda : options_.default_lambda;
-    if (now - record.last_arrival >
-        options_.inactivity_coefficient * lambda) {
-      order_.erase(record.order_it);
-      it = records_.erase(it);
-      ++inactive;
-    } else if (options_.reclassify_after_seconds > 0.0 &&
-               now - record.created_at > options_.reclassify_after_seconds) {
-      // Section 4.6: force periodic reclassification of long-lived flows.
-      order_.erase(record.order_it);
-      it = records_.erase(it);
-      ++stale;
-    } else {
-      ++it;
+  for (std::size_t step = 1; step <= slots_.size();) {
+    const std::size_t i = (start + step) & mask_;
+    const FlowSlot& slot = slots_[i];
+    if (slot.state == FlowSlot::State::kRecord) {
+      if (now - slot.timing.last_arrival >
+          options_.inactivity_coefficient * slot.timing.lambda) {
+        erase_at(i);
+        ++inactive;
+        continue;
+      }
+      if (options_.reclassify_after_seconds > 0.0 &&
+          now - slot.timing.created_at > options_.reclassify_after_seconds) {
+        // Section 4.6: force periodic reclassification of long-lived flows.
+        erase_at(i);
+        ++stale;
+        continue;
+      }
     }
+    ++step;
   }
-  stats_.inactivity_removals += inactive;
-  stats_.reclassification_removals += stale;
-  DCHECK_EQ(size_before, records_.size() + inactive + stale)
+  add(kInactivityRemovals, inactive);
+  add(kReclassificationRemovals, stale);
+  DCHECK_EQ(records_before, load(kRecords) + inactive + stale)
       << "purge must account for every removed record";
-  DCHECK_EQ(order_.size(), records_.size())
-      << "recency list out of sync with the record table";
   return inactive + stale;
 }
 
-std::size_t ClassificationDatabase::size() const {
-  util::MutexLock lock(mu_);
-  return records_.size();
-}
-
-CdbStats ClassificationDatabase::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
+CdbStats ClassificationDatabase::stats() const noexcept {
+  CdbStats s;
+  s.lookups = load(kLookups);
+  s.hits = load(kHits);
+  s.inserts = load(kInserts);
+  s.fin_rst_removals = load(kFinRstRemovals);
+  s.inactivity_removals = load(kInactivityRemovals);
+  s.reclassification_removals = load(kReclassificationRemovals);
+  s.purge_runs = load(kPurgeRuns);
+  s.forced_evictions = load(kForcedEvictions);
+  s.insert_failures = load(kInsertFailures);
+  return s;
 }
 
 }  // namespace iustitia::core

@@ -84,6 +84,8 @@ EngineStats ShardedIustitia::total_stats() const {
     total.data_packets += s.data_packets;
     total.flows_classified += s.flows_classified;
     total.flows_timed_out += s.flows_timed_out;
+    total.packets_shed += s.packets_shed;
+    total.flows_released += s.flows_released;
     for (std::size_t c = 0; c < total.queue_packets.size(); ++c) {
       total.queue_packets[c] += s.queue_packets[c];
     }

@@ -172,8 +172,8 @@ MetricsSnapshot Runtime::snapshot() const {
   snap.health = health_string();
   snap.cdb_ceiling = options_.engine.cdb.max_records;
   for (std::size_t s = 0; s < engine_.shard_count(); ++s) {
-    // The CDB is internally locked, so reading it while workers run is
-    // safe (each read is one short critical section on that shard).
+    // size() and stats() read the table's single-writer relaxed
+    // counters: safe while the owning worker runs, and lock-free.
     const core::ClassificationDatabase& cdb = engine_.shard(s).cdb();
     const core::CdbStats stats = cdb.stats();
     snap.cdb_records += cdb.size();

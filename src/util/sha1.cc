@@ -291,12 +291,6 @@ Sha1Digest digest_from_state(const std::uint32_t h[5]) noexcept {
 
 }  // namespace
 
-std::uint64_t Sha1Digest::prefix64() const noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-  return v;
-}
-
 std::string Sha1Digest::hex() const {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;

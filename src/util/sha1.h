@@ -16,6 +16,7 @@
 #define IUSTITIA_UTIL_SHA1_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -28,7 +29,12 @@ struct Sha1Digest {
   std::array<std::uint8_t, 20> bytes{};
 
   // First 8 bytes interpreted big-endian; convenient for hash-table keys.
-  std::uint64_t prefix64() const noexcept;
+  // Inline: the flow table takes every probe's bucket from it.
+  std::uint64_t prefix64() const noexcept {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | bytes[i];
+    return v;
+  }
 
   // Lowercase hex string, 40 characters.
   std::string hex() const;

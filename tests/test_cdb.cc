@@ -3,9 +3,11 @@
 #include "core/cdb.h"
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,37 +165,41 @@ TEST(Cdb, PurgeCountsInStats) {
   EXPECT_EQ(cdb.size(), 0u);
 }
 
-TEST(Cdb, HardCeilingForcesOldestFirstEviction) {
+// CLOCK ceiling contract: the bound holds after every insert, each
+// insert beyond it forces exactly one eviction, and the record being
+// inserted is never its own insert's victim.
+TEST(Cdb, HardCeilingBoundsRecordsUnderClockEviction) {
   CdbOptions options;
   options.max_records = 4;
   ClassificationDatabase cdb(options);
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(cdb.insert(id_of(i), FileClass::kBinary, 0.1 * i));
     EXPECT_LE(cdb.size(), 4u);
-  }
-  // The two least-recently-active records (0, 1) were force-evicted.
-  EXPECT_EQ(cdb.size(), 4u);
-  EXPECT_EQ(cdb.stats().forced_evictions, 2u);
-  EXPECT_EQ(cdb.peek(id_of(0)), std::nullopt);
-  EXPECT_EQ(cdb.peek(id_of(1)), std::nullopt);
-  for (int i = 2; i < 6; ++i) {
     EXPECT_EQ(cdb.peek(id_of(i)), FileClass::kBinary) << i;
   }
+  EXPECT_EQ(cdb.size(), 4u);
+  EXPECT_EQ(cdb.stats().forced_evictions, 2u);
+  int resident = 0;
+  for (int i = 0; i < 6; ++i) resident += cdb.peek(id_of(i)).has_value();
+  EXPECT_EQ(resident, 4);
 }
 
-TEST(Cdb, CeilingEvictionHonorsRecencyRefreshes) {
+// CLOCK's recency contract: a record hit since the hand last passed it
+// survives the sweep; the unreferenced records go first.
+TEST(Cdb, ClockEvictionSparesRecentlyHitRecords) {
   CdbOptions options;
-  options.max_records = 2;
+  options.max_records = 8;
   ClassificationDatabase cdb(options);
-  cdb.insert(id_of(1), FileClass::kText, 0.0);
-  cdb.insert(id_of(2), FileClass::kText, 1.0);
-  // A lookup refreshes record 1's recency, so 2 is now the oldest.
-  EXPECT_EQ(cdb.lookup(id_of(1), 2.0), FileClass::kText);
-  cdb.insert(id_of(3), FileClass::kText, 3.0);
-  EXPECT_EQ(cdb.peek(id_of(1)), FileClass::kText);
-  EXPECT_EQ(cdb.peek(id_of(2)), std::nullopt);
-  EXPECT_EQ(cdb.peek(id_of(3)), FileClass::kText);
-  EXPECT_EQ(cdb.stats().forced_evictions, 1u);
+  for (int i = 0; i < 8; ++i) cdb.insert(id_of(i), FileClass::kText, 0.0);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(cdb.lookup(id_of(i), 1.0), FileClass::kText);
+  }
+  for (int i = 8; i < 12; ++i) cdb.insert(id_of(i), FileClass::kText, 2.0);
+  EXPECT_EQ(cdb.size(), 8u);
+  EXPECT_EQ(cdb.stats().forced_evictions, 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(cdb.peek(id_of(i)), FileClass::kText) << "hit record " << i;
+  }
 }
 
 // Property soak: under a random mix of inserts, overwrites, FIN/RST
@@ -231,6 +237,81 @@ TEST(Cdb, CeilingPropertyHoldsUnderRandomizedChurn) {
   EXPECT_EQ(new_records,
             cdb.size() + stats.fin_rst_removals +
                 stats.inactivity_removals + stats.forced_evictions);
+}
+
+// The flat table against a std::map reference model: thousands of ids
+// through table growth, overwrites, lookups, FIN/RST erases and purge
+// sweeps, whose backward shifts move the surviving slots.  After every
+// purge each id must read back exactly as the reference says.
+TEST(Cdb, TableMatchesReferenceModelUnderChurn) {
+  CdbOptions options;
+  options.inactivity_coefficient = 2.0;
+  options.default_lambda = 0.3;
+  options.reclassify_after_seconds = 3.0;
+  ClassificationDatabase cdb(options);
+  struct Ref {
+    FileClass label;
+    double last;
+    double lambda;
+    double created;
+  };
+  constexpr int kFlows = 3000;
+  std::vector<net::FlowId> ids;
+  for (int i = 0; i < kFlows; ++i) ids.push_back(id_of(i));
+  std::map<int, Ref> ref;
+
+  std::mt19937 rng(20261016);
+  std::uniform_int_distribution<int> flow_pick(0, kFlows - 1);
+  std::uniform_int_distribution<int> op_pick(0, 99);
+  double now = 0.0;
+  int purges = 0;
+  for (int step = 0; step < 30000; ++step) {
+    now += 0.001;
+    const int n = flow_pick(rng);
+    const int op = op_pick(rng);
+    if (op < 50) {
+      const auto label = static_cast<FileClass>(n % 3);
+      ASSERT_TRUE(cdb.insert(ids[n], label, now));
+      ref[n] = {label, now, options.default_lambda, now};
+    } else if (op < 80) {
+      const std::optional<FileClass> got = cdb.lookup(ids[n], now);
+      const auto it = ref.find(n);
+      ASSERT_EQ(got.has_value(), it != ref.end()) << "step " << step;
+      if (it != ref.end()) {
+        ASSERT_EQ(*got, it->second.label);
+        it->second.lambda = now - it->second.last;
+        it->second.last = now;
+      }
+    } else if (op < 99) {
+      cdb.remove_on_close(ids[n]);
+      ref.erase(n);
+    } else {
+      std::size_t removed = 0;
+      for (auto it = ref.begin(); it != ref.end();) {
+        const Ref& r = it->second;
+        if (now - r.last > options.inactivity_coefficient * r.lambda ||
+            now - r.created > options.reclassify_after_seconds) {
+          it = ref.erase(it);
+          ++removed;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(cdb.purge(now), removed) << "step " << step;
+      ++purges;
+      for (int i = 0; i < kFlows; ++i) {
+        const auto it = ref.find(i);
+        const std::optional<FileClass> want =
+            it == ref.end() ? std::nullopt
+                            : std::optional<FileClass>(it->second.label);
+        ASSERT_EQ(cdb.peek(ids[i]), want) << "flow " << i << " step " << step;
+      }
+    }
+    ASSERT_EQ(cdb.size(), ref.size()) << "step " << step;
+  }
+  EXPECT_GT(purges, 100);
+  EXPECT_GT(cdb.stats().inactivity_removals, 0u);
+  EXPECT_GT(cdb.stats().reclassification_removals, 0u);
 }
 
 }  // namespace

@@ -562,6 +562,71 @@ TEST(Runtime, SteadyStateFastPathIsAllocationFree) {
   EXPECT_EQ(not_forwarded, 0u) << "a CDB hit left the fast path";
   EXPECT_EQ(after - before, 0u)
       << "the CDB-hit fast path performed a heap allocation";
+
+  // FIN/RST removal rides the same lane: one FIN per resident flow erases
+  // its record in place (a backward shift, nothing freed or allocated).
+  std::vector<net::Packet> fins;
+  for (const net::Packet* packet : hits) {
+    if (!engine.label_of(packet->key).has_value()) continue;
+    bool seen = false;
+    for (const net::Packet& fin : fins) seen = seen || fin.key == packet->key;
+    if (seen || fins.size() == 64) continue;
+    net::Packet fin;
+    fin.key = packet->key;
+    fin.timestamp = trace.packets.back().timestamp;
+    fin.flags.fin = true;
+    fins.push_back(fin);
+  }
+  ASSERT_FALSE(fins.empty());
+  const std::size_t records = engine.cdb().size();
+  const std::size_t fin_before = testhooks::alloc_calls();
+  for (const net::Packet& fin : fins) {
+    EXPECT_EQ(engine.on_packet(fin), core::PacketAction::kForwarded);
+  }
+  EXPECT_EQ(testhooks::alloc_calls() - fin_before, 0u)
+      << "FIN/RST removal on the CDB-hit lane performed a heap allocation";
+  EXPECT_EQ(engine.cdb().size(), records - fins.size());
+}
+
+// Runtime::snapshot() reads every shard's flow-table counters while the
+// owning workers write them: single-writer relaxed atomics, no lock.
+// Under TSan this is the race check for that protocol.
+TEST(Runtime, SnapshotScrapesFlowTableCountersDuringLiveReplay) {
+  RuntimeOptions options;
+  options.shards = 2;
+  options.backpressure = BackpressurePolicy::kBlock;
+  options.engine.buffer_size = 32;
+  Runtime rt(model_factory(), options);
+  TraceSource source(trace_options(20'000, 910));
+  std::atomic<bool> done{false};
+  std::uint64_t scrapes = 0;
+  std::uint64_t last_packets = 0;
+  bool monotone = true;
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const MetricsSnapshot snap = rt.snapshot();
+      monotone = monotone && snap.packets_in >= last_packets;
+      last_packets = snap.packets_in;
+      ++scrapes;
+    }
+  });
+  rt.start(source);
+  rt.wait();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_GT(scrapes, 0u);
+  EXPECT_TRUE(monotone);
+  const MetricsSnapshot snap = rt.snapshot();
+  std::uint64_t records = 0;
+  std::uint64_t inserts = 0;
+  for (std::size_t s = 0; s < rt.engine().shard_count(); ++s) {
+    records += rt.engine().shard(s).cdb().size();
+    inserts += rt.engine().shard(s).cdb().stats().inserts;
+  }
+  EXPECT_EQ(snap.cdb_records, records);
+  EXPECT_GT(inserts, 0u);
+  EXPECT_EQ(inserts, rt.engine().total_flows_classified());
 }
 
 // In default builds a violation is counted, never fatal: the replacement

@@ -89,6 +89,35 @@ TEST(ShardedIustitia, MatchesSingleEngineResults) {
   }
 }
 
+TEST(ShardedIustitia, TotalStatsSumEveryCounter) {
+  EngineOptions options;
+  options.buffer_size = 32;
+  ShardedIustitia sharded(model_factory(), options, 2);
+  // Overload stage 2 on every shard: only ~1 new flow in 4 is admitted.
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    sharded.shard(s).set_admission_permille(250);
+  }
+  const net::Trace trace = small_trace();
+  for (const net::Packet& p : trace.packets) {
+    sharded.shard(sharded.shard_of(p.key)).on_packet(p);
+  }
+  sharded.flush_all();
+
+  EngineStats sum;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    const EngineStats& shard = sharded.shard(s).stats();
+    sum.packets += shard.packets;
+    sum.packets_shed += shard.packets_shed;
+    sum.flows_released += shard.flows_released;
+  }
+  const EngineStats total = sharded.total_stats();
+  EXPECT_EQ(total.packets, trace.packets.size());
+  EXPECT_EQ(total.packets, sum.packets);
+  EXPECT_GT(total.packets_shed, 0u);
+  EXPECT_EQ(total.packets_shed, sum.packets_shed);
+  EXPECT_EQ(total.flows_released, sum.flows_released);
+}
+
 TEST(ShardedIustitia, RunsFromMultipleThreads) {
   const std::size_t shard_count = 4;
   EngineOptions options;
