@@ -3,11 +3,11 @@
 // SPSC rings -> shard workers -> output queues), swept across shard
 // counts x burst sizes.
 //
-// burst = 1 is the exact single-item path (one ring head/tail round-trip
-// per packet, per-packet metrics and guard scopes) — i.e. the pre-burst
-// runtime — so each shard count's speedup_vs_single column IS the
-// measured win of the burst protocol over the unbatched path on this
-// machine, end to end rather than in a ring microbench.  Results go to
+// burst = 1 moves one-packet bursts through the same transport (one
+// ring head/tail round-trip, one metrics update and one egress crossing
+// per packet), so each shard count's speedup_vs_single column is the
+// measured win of batching over one-packet bursts on this machine, end
+// to end rather than in a ring microbench.  Results go to
 // stdout and machine-readable JSON (argv[1], default
 // BENCH_e2e_throughput.json); tools/ci.sh runs a reduced form and gates
 // speedup_vs_single against bench/baselines/e2e_throughput.json via
@@ -90,8 +90,8 @@ void write_json(const std::string& path, const std::vector<E2eRow>& rows,
 
 int run(int argc, char** argv) {
   banner("End-to-end batched-hot-path throughput: shards x burst sweep",
-         "context: burst=1 is the exact single-item (pre-burst) path, so "
-         "speedup_vs_single is the burst protocol's end-to-end win");
+         "context: burst=1 is one-packet bursts on the same path, so "
+         "speedup_vs_single is batching's end-to-end win");
 
   const std::size_t packets = env_size("IUSTITIA_TRACE_PACKETS", 200000);
   const std::size_t reps = std::max<std::size_t>(

@@ -13,91 +13,126 @@ std::size_t OutputQueues::index_of(datagen::FileClass label) {
   return index;
 }
 
-bool OutputQueues::enqueue(datagen::FileClass label, net::Packet packet) {
-  // Bounded handoff out of the worker loop: a short uncontended lock
-  // plus one deque node (and, on the refused path, the payload retired
-  // with the by-value parameter) — the accepted cost of crossing to the
-  // consumer side.
-  util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block)
-  const std::size_t index = index_of(label);
-  util::MutexLock lock(mu_);
-  if (capacity_ != 0 && queues_[index].size() >= capacity_) {
+bool OutputQueues::push_locked(QueuedPacket& item) {
+  const std::size_t index = index_of(item.label);
+  const std::size_t depth =
+      incoming_[index].size() +
+      outgoing_left_[index].load(std::memory_order_relaxed);
+  if (capacity_ != 0 && depth >= capacity_) {
     ++dropped_[index];
     return false;
   }
-  queues_[index].push_back(QueuedPacket{std::move(packet), label});
+  incoming_[index].push_back(std::move(item));
   ++enqueued_[index];
-  if (queues_[index].size() > high_water_[index]) {
-    high_water_[index] = queues_[index].size();
-  }
-  DCHECK(capacity_ == 0 || queues_[index].size() <= capacity_);
+  if (depth + 1 > high_water_[index]) high_water_[index] = depth + 1;
+  DCHECK(capacity_ == 0 ||
+         incoming_[index].size() +
+                 outgoing_left_[index].load(std::memory_order_relaxed) <=
+             capacity_);
   return true;
+}
+
+bool OutputQueues::enqueue(datagen::FileClass label, net::Packet packet) {
+  // Bounded handoff out of the worker loop: a short lock plus, while the
+  // batch grows, its buffer (and, on the refused path, the payload
+  // retired with the by-value parameter) — the accepted cost of
+  // crossing to the consumer side.
+  util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block)
+  QueuedPacket item{std::move(packet), label};
+  util::MutexLock lock(mu_);
+  return push_locked(item);
 }
 
 std::size_t OutputQueues::enqueue_burst(std::span<QueuedPacket> batch) {
   if (batch.empty()) return 0;
   // Same cold-branch budget as enqueue(), paid once per burst: the lock
-  // crossing and the deque nodes are amortized over the whole batch, and
+  // crossing and any batch growth are amortized over the whole span, and
   // refused payloads are NOT freed here — they stay with the caller, so
   // the lock hold time is bounded by queue work alone.
   util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block)
   std::size_t accepted = 0;
   util::MutexLock lock(mu_);
   for (QueuedPacket& item : batch) {
-    const std::size_t index = index_of(item.label);
-    if (capacity_ != 0 && queues_[index].size() >= capacity_) {
-      ++dropped_[index];
-      continue;
-    }
-    queues_[index].push_back(std::move(item));
-    ++enqueued_[index];
-    if (queues_[index].size() > high_water_[index]) {
-      high_water_[index] = queues_[index].size();
-    }
-    DCHECK(capacity_ == 0 || queues_[index].size() <= capacity_);
-    ++accepted;
+    if (push_locked(item)) ++accepted;
   }
   return accepted;
 }
 
-std::size_t OutputQueues::drain_all() {
-  util::MutexLock lock(mu_);
-  std::size_t discarded = 0;
-  for (auto& queue : queues_) {
-    discarded += queue.size();
-    queue.clear();
-  }
-  return discarded;
+bool OutputQueues::spent_locked(std::size_t index) const {
+  return outgoing_head_[index] == outgoing_[index].size();
 }
 
-std::optional<QueuedPacket> OutputQueues::dequeue_locked(
-    datagen::FileClass label) {
-  const std::size_t index = index_of(label);
-  if (queues_[index].empty()) return std::nullopt;
-  QueuedPacket out = std::move(queues_[index].front());
-  queues_[index].pop_front();
-  return out;
+bool OutputQueues::swap_in_locked(std::size_t index,
+                                  std::vector<QueuedPacket>& spent) {
+  std::vector<QueuedPacket>& in = incoming_[index];
+  if (in.empty()) {
+    // Drained: hold no buffers, like an empty queue.
+    std::vector<QueuedPacket>().swap(spent);
+    std::vector<QueuedPacket>().swap(in);
+    return false;
+  }
+  // The spent batch holds only moved-from shells; its buffer goes back
+  // to the producers for the next batch.
+  spent.clear();
+  spent.swap(in);
+  outgoing_left_[index].store(spent.size(), std::memory_order_relaxed);
+  return true;
+}
+
+QueuedPacket OutputQueues::take_locked(std::size_t index) {
+  QueuedPacket item = std::move(outgoing_[index][outgoing_head_[index]++]);
+  outgoing_left_[index].store(outgoing_[index].size() - outgoing_head_[index],
+                              std::memory_order_relaxed);
+  return item;
 }
 
 std::optional<QueuedPacket> OutputQueues::dequeue(datagen::FileClass label) {
-  util::MutexLock lock(mu_);
-  return dequeue_locked(label);
+  const std::size_t index = index_of(label);
+  util::MutexLock consumer(consumer_mu_);
+  if (spent_locked(index)) {
+    outgoing_head_[index] = 0;
+    util::MutexLock lock(mu_);
+    if (!swap_in_locked(index, outgoing_[index])) return std::nullopt;
+  }
+  return take_locked(index);
 }
 
 std::optional<QueuedPacket> OutputQueues::dequeue_priority(
     std::span<const datagen::FileClass> priority_order) {
+  util::MutexLock consumer(consumer_mu_);
   util::MutexLock lock(mu_);
   for (const datagen::FileClass label : priority_order) {
-    auto packet = dequeue_locked(label);
-    if (packet.has_value()) return packet;
+    const std::size_t index = index_of(label);
+    if (spent_locked(index)) {
+      outgoing_head_[index] = 0;
+      if (!swap_in_locked(index, outgoing_[index])) continue;
+    }
+    return take_locked(index);
   }
   return std::nullopt;
 }
 
+std::size_t OutputQueues::drain_all() {
+  util::MutexLock consumer(consumer_mu_);
+  util::MutexLock lock(mu_);
+  std::size_t discarded = 0;
+  for (std::size_t i = 0; i < incoming_.size(); ++i) {
+    discarded += incoming_[i].size() +
+                 outgoing_left_[i].load(std::memory_order_relaxed);
+    std::vector<QueuedPacket>().swap(outgoing_[i]);
+    std::vector<QueuedPacket>().swap(incoming_[i]);
+    outgoing_head_[i] = 0;
+    outgoing_left_[i].store(0, std::memory_order_relaxed);
+  }
+  return discarded;
+}
+
 std::size_t OutputQueues::depth(datagen::FileClass label) const {
   const std::size_t index = index_of(label);
+  util::MutexLock consumer(consumer_mu_);
   util::MutexLock lock(mu_);
-  return queues_[index].size();
+  return incoming_[index].size() +
+         outgoing_left_[index].load(std::memory_order_relaxed);
 }
 
 std::uint64_t OutputQueues::enqueued(datagen::FileClass label) const {
@@ -120,11 +155,13 @@ std::size_t OutputQueues::high_water(datagen::FileClass label) const {
 
 OutputQueueStats OutputQueues::stats() const {
   OutputQueueStats out;
+  util::MutexLock consumer(consumer_mu_);
   util::MutexLock lock(mu_);
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
+  for (std::size_t i = 0; i < incoming_.size(); ++i) {
     out.enqueued[i] = enqueued_[i];
     out.dropped[i] = dropped_[i];
-    out.depth[i] = queues_[i].size();
+    out.depth[i] = incoming_[i].size() +
+                   outgoing_left_[i].load(std::memory_order_relaxed);
     out.high_water[i] = high_water_[i];
   }
   return out;

@@ -81,6 +81,12 @@ double LatencyHistogram::bucket_floor_micros(std::size_t i) noexcept {
                : static_cast<double>(std::uint64_t{1} << (i - 1));
 }
 
+void LatencyHistogram::Snapshot::merge(const Snapshot& other) noexcept {
+  for (std::size_t i = 0; i < kBucketCount; ++i) counts[i] += other.counts[i];
+  total += other.total;
+  sum_micros += other.sum_micros;
+}
+
 double LatencyHistogram::Snapshot::mean_micros() const noexcept {
   return total == 0 ? 0.0 : sum_micros / static_cast<double>(total);
 }
@@ -105,38 +111,15 @@ double LatencyHistogram::Snapshot::quantile_upper_micros(
 MetricsRegistry::MetricsRegistry(std::size_t shards)
     : shards_(shards),
       created_(std::chrono::steady_clock::now()),
-      rings_(std::make_unique<RingCounters[]>(shards)) {
+      rings_(std::make_unique<RingCounters[]>(shards)),
+      workers_(std::make_unique<WorkerCounters[]>(shards)) {
   CHECK_GT(shards, std::size_t{0}) << "metrics need at least one ring";
 }
 
-// The on_* counters below run once per packet inside the guarded loops:
-// relaxed atomics only, no heap, no locks.
-// analyze: hotpath
-void MetricsRegistry::on_source_packet() noexcept {
-  packets_in_.fetch_add(1, std::memory_order_relaxed);
-}
-
-// analyze: hotpath
-void MetricsRegistry::on_push(std::size_t shard,
-                              std::size_t depth_after) noexcept {
-  DCHECK_LT(shard, shards_);
-  RingCounters& ring = rings_[shard];
-  ring.pushed.fetch_add(1, std::memory_order_relaxed);
-  // Only the dispatcher writes high_water, so a read-then-store is safe.
-  if (depth_after > ring.high_water.load(std::memory_order_relaxed)) {
-    ring.high_water.store(depth_after, std::memory_order_relaxed);
-  }
-}
-
-// analyze: hotpath
-void MetricsRegistry::on_drop(std::size_t shard) noexcept {
-  DCHECK_LT(shard, shards_);
-  rings_[shard].dropped.fetch_add(1, std::memory_order_relaxed);
-}
-
-// The burst-path mutators fold a whole burst into one relaxed add per
-// counter — called once per ring operation instead of once per packet,
-// they are what keeps metrics cost amortized on the batched fast path.
+// The on_* counters below run inside the guarded loops: relaxed atomics
+// only, no heap, no locks.  Each folds a whole burst into one relaxed
+// add per counter — called once per ring operation instead of once per
+// packet, they are what keeps metrics cost amortized on the fast path.
 // analyze: hotpath
 void MetricsRegistry::on_source_packets(std::uint64_t n) noexcept {
   packets_in_.fetch_add(n, std::memory_order_relaxed);
@@ -170,28 +153,27 @@ void MetricsRegistry::on_dispatch_flush(std::size_t shard) noexcept {
 }
 
 // analyze: hotpath
-void MetricsRegistry::on_pop(std::size_t shard) noexcept {
-  DCHECK_LT(shard, shards_);
-  rings_[shard].popped.fetch_add(1, std::memory_order_relaxed);
-}
-
-// analyze: hotpath
 void MetricsRegistry::on_pop_burst(std::size_t shard,
                                    std::size_t n) noexcept {
   DCHECK_LT(shard, shards_);
-  rings_[shard].popped.fetch_add(n, std::memory_order_relaxed);
+  workers_[shard].popped.fetch_add(n, std::memory_order_relaxed);
 }
 
 // analyze: hotpath
-void MetricsRegistry::on_classified(datagen::FileClass nature) noexcept {
+void MetricsRegistry::on_classified(std::size_t shard,
+                                    datagen::FileClass nature) noexcept {
+  DCHECK_LT(shard, shards_);
   const auto index = static_cast<std::size_t>(nature);
-  DCHECK_LT(index, flows_by_nature_.size());
-  flows_by_nature_[index].fetch_add(1, std::memory_order_relaxed);
+  DCHECK_LT(index, std::size_t{3});
+  workers_[shard].flows_by_nature[index].fetch_add(1,
+                                                   std::memory_order_relaxed);
 }
 
 // analyze: hotpath
-void MetricsRegistry::record_engine_latency(double micros) noexcept {
-  engine_latency_.record(micros);
+void MetricsRegistry::record_engine_latency(std::size_t shard,
+                                            double micros) noexcept {
+  DCHECK_LT(shard, shards_);
+  workers_[shard].engine_latency.record(micros);
 }
 
 // analyze: hotpath
@@ -236,7 +218,8 @@ MetricsSnapshot MetricsRegistry::snapshot(
   snap.rings.resize(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {
     snap.rings[s].pushed = rings_[s].pushed.load(std::memory_order_relaxed);
-    snap.rings[s].popped = rings_[s].popped.load(std::memory_order_relaxed);
+    snap.rings[s].popped =
+        workers_[s].popped.load(std::memory_order_relaxed);
     snap.rings[s].dropped = rings_[s].dropped.load(std::memory_order_relaxed);
     snap.rings[s].high_water =
         rings_[s].high_water.load(std::memory_order_relaxed);
@@ -245,12 +228,12 @@ MetricsSnapshot MetricsRegistry::snapshot(
       snap.rings[s].burst_counts[b] =
           rings_[s].bursts[b].load(std::memory_order_relaxed);
     }
+    for (std::size_t c = 0; c < snap.flows_by_nature.size(); ++c) {
+      snap.flows_by_nature[c] +=
+          workers_[s].flows_by_nature[c].load(std::memory_order_relaxed);
+    }
+    snap.engine_latency.merge(workers_[s].engine_latency.snapshot());
   }
-  for (std::size_t c = 0; c < flows_by_nature_.size(); ++c) {
-    snap.flows_by_nature[c] =
-        flows_by_nature_[c].load(std::memory_order_relaxed);
-  }
-  snap.engine_latency = engine_latency_.snapshot();
   for (std::size_t i = 0; i < kShedStageCount; ++i) {
     snap.stage_entries[i] = stage_entries_[i].load(std::memory_order_relaxed);
     snap.stage_exits[i] = stage_exits_[i].load(std::memory_order_relaxed);

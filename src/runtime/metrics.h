@@ -2,9 +2,13 @@
 //
 // Every mutator is a relaxed atomic add on the hot path — no locks, no
 // fences beyond the counter itself, safe to call from the dispatcher and
-// every shard worker concurrently.  snapshot() reads the same atomics
-// from any thread and returns a plain-value MetricsSnapshot that renders
-// as a human text report or machine-readable JSON.  Relaxed ordering
+// every shard worker concurrently.  Per-shard counters sit on cache
+// lines owned by the one thread that writes them (the dispatcher for a
+// ring's push side, the shard's worker for its pops, classifications
+// and latency samples).  snapshot() reads the same atomics from any
+// thread, sums the per-shard ones, and returns a plain-value
+// MetricsSnapshot that renders as a human text report or
+// machine-readable JSON.  Relaxed ordering
 // means a snapshot taken mid-run can be momentarily inconsistent across
 // counters (e.g. a push counted whose pop is in flight); totals are exact
 // once the runtime has drained.
@@ -36,7 +40,7 @@ namespace iustitia::runtime {
 // Fixed-bucket latency histogram: bucket i counts samples in
 // [2^(i-1), 2^i) microseconds (bucket 0 is < 1us, the last bucket is
 // open-ended).  Fixed buckets keep record() allocation-free and
-// wait-free, which is what lets every worker call it per packet.
+// wait-free, which is what lets a worker call it per packet.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBucketCount = 20;
@@ -51,6 +55,8 @@ class LatencyHistogram {
     double mean_micros() const noexcept;
     // Upper bucket edge containing quantile q in [0, 1] (0 with no data).
     double quantile_upper_micros(double q) const noexcept;
+    // Adds another histogram's samples (per-shard histograms sum into one).
+    void merge(const Snapshot& other) noexcept;
   };
 
   Snapshot snapshot() const;
@@ -142,27 +148,22 @@ class MetricsRegistry {
 
   std::size_t shard_count() const noexcept { return shards_; }
 
-  // Dispatcher side.
-  void on_source_packet() noexcept;
-  void on_push(std::size_t shard, std::size_t depth_after) noexcept;
-  void on_drop(std::size_t shard) noexcept;
-
-  // Dispatcher side, batched: the burst-path equivalents fold a whole
-  // burst into one relaxed add per counter, and on_push_burst records
-  // the burst size in the per-shard histogram.  on_dispatch_flush counts
-  // one staging-buffer flush (a flush may take several burst pushes when
-  // the ring is nearly full).
+  // Dispatcher side: each mutator folds a whole burst into one relaxed
+  // add per counter, and on_push_burst records the burst size in the
+  // per-shard histogram.  on_dispatch_flush counts one staging-buffer
+  // flush (a flush may take several burst pushes when the ring is nearly
+  // full).
   void on_source_packets(std::uint64_t n) noexcept;
   void on_push_burst(std::size_t shard, std::size_t n,
                      std::size_t depth_after) noexcept;
   void on_drop_burst(std::size_t shard, std::size_t n) noexcept;
   void on_dispatch_flush(std::size_t shard) noexcept;
 
-  // Worker side.
-  void on_pop(std::size_t shard) noexcept;
+  // Worker side: `shard` is the calling worker's own shard (or any
+  // shard once the workers have joined).
   void on_pop_burst(std::size_t shard, std::size_t n) noexcept;
-  void on_classified(datagen::FileClass nature) noexcept;
-  void record_engine_latency(double micros) noexcept;
+  void on_classified(std::size_t shard, datagen::FileClass nature) noexcept;
+  void record_engine_latency(std::size_t shard, double micros) noexcept;
   void on_packets_shed(std::uint64_t n) noexcept;
 
   // Overload/resilience side: the dispatcher-owned OverloadPolicy
@@ -180,15 +181,20 @@ class MetricsRegistry {
   MetricsSnapshot snapshot(const core::OutputQueues* queues = nullptr) const;
 
  private:
-  // Each ring's counters get their own cache line so shard workers never
-  // write-share a line with a neighbour.
+  // A ring's dispatcher-written counters get their own cache lines...
   struct alignas(kCacheLineBytes) RingCounters {
     std::atomic<std::uint64_t> pushed{0};      // analyze: atomic(relaxed-counter)
-    std::atomic<std::uint64_t> popped{0};      // analyze: atomic(relaxed-counter)
     std::atomic<std::uint64_t> dropped{0};     // analyze: atomic(relaxed-counter)
     std::atomic<std::size_t> high_water{0};    // analyze: atomic(relaxed-counter)
     std::atomic<std::uint64_t> flushes{0};     // analyze: atomic(relaxed-counter)
     std::array<std::atomic<std::uint64_t>, kBurstBucketCount> bursts{};  // analyze: atomic(relaxed-counter)
+  };
+  // ...and so do its worker's, so shard workers never write-share a line
+  // with the dispatcher or with each other.
+  struct alignas(kCacheLineBytes) WorkerCounters {
+    std::atomic<std::uint64_t> popped{0};  // analyze: atomic(relaxed-counter)
+    std::array<std::atomic<std::uint64_t>, 3> flows_by_nature{};  // analyze: atomic(relaxed-counter)
+    LatencyHistogram engine_latency;
   };
 
   const std::size_t shards_;
@@ -196,9 +202,8 @@ class MetricsRegistry {
   // Never written after the ctor, so reads need no synchronization.
   const std::chrono::steady_clock::time_point created_;
   std::unique_ptr<RingCounters[]> rings_;
+  std::unique_ptr<WorkerCounters[]> workers_;
   std::atomic<std::uint64_t> packets_in_{0};  // analyze: atomic(relaxed-counter)
-  std::array<std::atomic<std::uint64_t>, 3> flows_by_nature_{};  // analyze: atomic(relaxed-counter)
-  LatencyHistogram engine_latency_;
   std::array<std::atomic<std::uint64_t>, kShedStageCount> stage_entries_{};  // analyze: atomic(relaxed-counter)
   std::array<std::atomic<std::uint64_t>, kShedStageCount> stage_exits_{};  // analyze: atomic(relaxed-counter)
   std::atomic<std::uint64_t> packets_shed_{0};  // analyze: atomic(relaxed-counter)

@@ -20,6 +20,14 @@ bool injected_transient_error() noexcept {
 
 }  // namespace
 
+std::chrono::steady_clock::time_point Pacer::deadline(
+    std::uint64_t tick) const {
+  return start_ +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(static_cast<double>(tick) /
+                                           target_));
+}
+
 void Pacer::tick() {
   if (target_ <= 0.0) return;
   const auto now = std::chrono::steady_clock::now();
@@ -28,11 +36,13 @@ void Pacer::tick() {
     start_ = now;
   }
   ++ticks_;
-  const auto deadline =
-      start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(
-                       static_cast<double>(ticks_) / target_));
-  if (deadline > now) std::this_thread::sleep_until(deadline);
+  const auto due_at = deadline(ticks_);
+  if (due_at > now) std::this_thread::sleep_until(due_at);
+}
+
+bool Pacer::due() const {
+  if (target_ <= 0.0) return true;
+  return started_ && deadline(ticks_ + 1) <= std::chrono::steady_clock::now();
 }
 
 PcapReplaySource::PcapReplaySource(std::istream& is, double target_pps)
@@ -67,6 +77,8 @@ std::size_t PcapReplaySource::next_burst(std::span<net::Packet> out) {
   if (transient_) return 0;
   std::size_t n = 0;
   for (net::Packet& slot : out) {
+    // Wait for the first packet only; stop at the first one not yet due.
+    if (n != 0 && !pacer_.due()) break;
     std::optional<net::Packet> packet = read_one();
     if (!packet.has_value()) break;
     pacer_.tick();
@@ -95,12 +107,14 @@ std::size_t TraceSource::next_burst(std::span<net::Packet> out) {
   transient_ = injected_transient_error();
   if (transient_) return 0;
   // Bulk move straight out of the owned trace: no per-packet optional,
-  // one bounds computation for the whole burst.
-  const std::size_t n =
+  // one bounds computation for the whole burst.  Wait for the first
+  // packet only; stop at the first one not yet due.
+  const std::size_t limit =
       std::min(out.size(), trace_.packets.size() - next_index_);
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t n = 0;
+  for (; n < limit && (n == 0 || pacer_.due()); ++n) {
     pacer_.tick();
-    out[i] = std::move(trace_.packets[next_index_ + i]);
+    out[n] = std::move(trace_.packets[next_index_ + n]);
   }
   next_index_ += n;
   return n;

@@ -36,11 +36,16 @@ class PacketSource {
   // flag describes only the most recent call.
   virtual bool transient_error() const noexcept { return false; }
 
-  // Batched pull: fills the front of `out` and returns how many packets
-  // were delivered; 0 means exhausted (and forever after, like next()).
-  // One virtual call per burst instead of per packet — the producer half
-  // of the runtime's batched hot path.  The default adapts any source by
-  // looping next(); implementations override with a bulk move.
+  // Batched pull: fills the front of `out` with the packets ready now
+  // and returns how many were delivered.  A call may wait for the first
+  // packet, but never for a later one: a return shorter than `out` means
+  // nothing more is ready, and the dispatcher flushes what it has staged
+  // instead of waiting for a full burst.  0 means exhausted (and forever
+  // after, like next()) unless transient_error() says otherwise.  One
+  // virtual call per burst instead of per packet — the producer half of
+  // the runtime's batched hot path.  The default adapts a source whose
+  // next() never waits by looping it; implementations override with a
+  // bulk move.
   virtual std::size_t next_burst(std::span<net::Packet> out) {
     std::size_t n = 0;
     for (net::Packet& slot : out) {
@@ -64,7 +69,15 @@ class Pacer {
   // Call once per delivered item, before handing the item downstream.
   void tick();
 
+  // True when the next tick() would return without sleeping.  Never
+  // blocks; a burst source calls it to stop at the first item not yet
+  // due instead of holding earlier ones back.
+  bool due() const;
+
  private:
+  // When tick number `tick` (1-based) falls due.  Requires started_.
+  std::chrono::steady_clock::time_point deadline(std::uint64_t tick) const;
+
   const double target_;
   std::uint64_t ticks_ = 0;
   bool started_ = false;

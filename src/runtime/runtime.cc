@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -223,126 +222,19 @@ void Runtime::join_threads_locked() {
 // Real-time contract: once packets flow, the dispatcher neither touches
 // the heap nor takes a lock — payloads move by buffer handoff into the
 // rings.  The only tolerated exceptions are documented AllowScopes.
+//
+// Read up to `burst` packets per source visit, steering each straight
+// into its shard's staging buffer, and flush every buffer that fills as
+// ONE ring burst — one head/tail acquire/release pair, one metrics
+// update, and one backpressure decision per burst instead of per packet.
+// A short read means the source has nothing more ready (the
+// PacketSource::next_burst contract), so staging is work-conserving: a
+// partial buffer is flushed at once when its worker is about to run dry.
+// burst = 1 is the same loop with one-packet bursts.  Every buffer is
+// allocated (and first-touched) before the guarded region; the hot loop
+// itself only moves payloads.
 // analyze: hotpath
 void Runtime::dispatch_loop(PacketSource* source) {
-  if (options_.burst == 1) {
-    dispatch_single(source);
-  } else {
-    dispatch_burst(source);
-  }
-  // Poison pill: every worker terminates once its ring is closed *and*
-  // drained, whether we got here by source exhaustion or by stop().
-  for (auto& ring : rings_) ring->close();
-  // No more enqueues: the shed ladder steps back to normal (counting the
-  // stage exits) and the dispatcher's heartbeat slot retires so the
-  // watchdog stops expecting progress from it.
-  overload_.reset();
-  watchdog_->retire(options_.shards);
-}
-
-// The unbatched flavor: one try_push round-trip per packet, kept as the
-// exact low-latency path behind burst == 1 (nothing is ever staged, so a
-// paced source never parks a packet).
-// analyze: hotpath
-void Runtime::dispatch_single(PacketSource* source) {
-  const std::size_t dispatcher_beat = options_.shards;
-  Backoff backoff;
-  Backoff source_backoff;
-  std::size_t transient_failures = 0;
-  {
-    util::rt::GuardRegion guard;
-    while (!stop_requested_.load(std::memory_order_relaxed)) {
-      watchdog_->heartbeat(dispatcher_beat);
-      std::optional<net::Packet> packet;
-      {
-        // Source refill sits upstream of the hot handoff: replay files
-        // and generators may read, allocate payload, or block on I/O.
-        util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block, may-throw, unresolved-call)
-        packet = source->next();
-      }
-      if (!packet.has_value()) {
-        // A transient failure (injected or a real I/O hiccup) is retried
-        // with the stall backoff ladder up to the configured limit of
-        // *consecutive* failures; end-of-stream breaks out.
-        if (source->transient_error()) {  // analyze: hotpath-allow(unresolved-call)
-          metrics_.on_source_transient_error();
-          if (transient_failures < options_.source_retry_limit) {
-            ++transient_failures;
-            source_backoff.pause();
-            continue;
-          }
-          metrics_.on_source_retries_exhausted();
-        }
-        break;
-      }
-      transient_failures = 0;
-      source_backoff.reset();
-      metrics_.on_source_packet();
-      // Fault injection: an armed delay/stall on ring.push perturbs the
-      // handoff timing (the sleep happens inside the armed slow path).
-      (void)FAILPOINT("ring.push");
-      const std::size_t shard = engine_.shard_of(packet->key);
-      SpscRing<net::Packet>& ring = *rings_[shard];
-      if (ring.try_push(std::move(*packet))) {
-        metrics_.on_push(shard, ring.size_approx());
-        overload_.observe_occupancy(ring.size_approx(), ring.capacity());
-        continue;
-      }
-      // Shed stage 3 turns lossless backpressure into drops: keeping up
-      // with the source beats completeness once the EWMA says the
-      // workers cannot drain what we enqueue.
-      if (options_.backpressure == BackpressurePolicy::kDrop ||
-          overload_.stage() == ShedStage::kDrop) {
-        metrics_.on_drop(shard);
-        overload_.observe_occupancy(ring.size_approx(), ring.capacity());
-        {
-          // Retire the refused payload here, not at the iteration
-          // boundary where the optional's destructor would free it
-          // inside the bare guard region.
-          util::rt::AllowScope allow(util::rt::kAlloc);  // analyze: hotpath-allow(may-allocate, unresolved-call)
-          packet.reset();
-        }
-        continue;
-      }
-      // kBlock: stall until the worker frees a slot.  A stop() request
-      // abandons the held packet (counted as a drop) so shutdown can never
-      // deadlock against a full ring.
-      backoff.reset();
-      bool pushed = false;
-      while (!stop_requested_.load(std::memory_order_relaxed)) {
-        // Intentionally waiting, not stalled: keep the watchdog fed.
-        watchdog_->heartbeat(dispatcher_beat);
-        if (ring.try_push(std::move(*packet))) {
-          pushed = true;
-          break;
-        }
-        backoff.pause();
-      }
-      if (!pushed) {
-        metrics_.on_drop(shard);
-        {
-          // Shutdown abandons the held packet; free its payload under a
-          // scope instead of at the loop exit.
-          util::rt::AllowScope allow(util::rt::kAlloc);  // analyze: hotpath-allow(may-allocate, unresolved-call)
-          packet.reset();
-        }
-        break;
-      }
-      metrics_.on_push(shard, ring.size_approx());
-      overload_.observe_occupancy(ring.size_approx(), ring.capacity());
-    }
-  }
-}
-
-// The batched flavor: read up to `burst` packets per source visit,
-// steering each straight into its shard's staging buffer, and flush
-// every buffer that fills as ONE ring burst — one head/tail
-// acquire/release pair, one metrics update, and one backpressure
-// decision per burst instead of per packet.  Every buffer is allocated
-// (and first-touched) before the guarded region; the hot loop itself
-// only moves payloads.
-// analyze: hotpath
-void Runtime::dispatch_burst(PacketSource* source) {
   const std::size_t burst = options_.burst;
   const std::size_t shards = options_.shards;
   Backoff backoff;
@@ -423,6 +315,29 @@ void Runtime::dispatch_burst(PacketSource* source) {
         util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block, may-throw, unresolved-call)
         read = source->next_burst(arrival_window);
       }
+      if (read != 0) {
+        transient_failures = 0;
+        source_backoff.reset();
+        metrics_.on_source_packets(read);
+      }
+      // Steer each arrival to its shard's staging buffer; a buffer
+      // reaching `burst` flushes immediately as one ring burst.
+      for (std::size_t i = 0; i < read; ++i) {
+        const std::size_t s = engine_.shard_of(arrivals[i].key);
+        staging[s][staged[s]] = std::move(arrivals[i]);
+        if (++staged[s] == burst) flush_shard(s);
+      }
+      if (read < burst) {
+        // Nothing more is ready (a short read, including 0 on a transient
+        // error, before any backoff): flush each partial buffer whose
+        // worker would run dry within one pop.  A worker with a full
+        // burst still queued keeps its shard staging toward a full one.
+        for (std::size_t s = 0; s < shards; ++s) {
+          if (staged[s] != 0 && rings_[s]->size_approx() < burst) {
+            flush_shard(s);
+          }
+        }
+      }
       if (read == 0) {
         // A transient failure (injected or a real I/O hiccup) is retried
         // with the stall backoff ladder up to the configured limit of
@@ -438,22 +353,20 @@ void Runtime::dispatch_burst(PacketSource* source) {
         }
         break;
       }
-      transient_failures = 0;
-      source_backoff.reset();
-      metrics_.on_source_packets(read);
-      // Steer each arrival to its shard's staging buffer; a buffer
-      // reaching `burst` flushes immediately as one ring burst.
-      for (std::size_t i = 0; i < read; ++i) {
-        const std::size_t s = engine_.shard_of(arrivals[i].key);
-        staging[s][staged[s]] = std::move(arrivals[i]);
-        if (++staged[s] == burst) flush_shard(s);
-      }
     }
     // Hand anything still staged to the rings (or, refused, to the drop
     // counter) before the poison pill: these packets were already
     // consumed from the source and must stay accounted for.
     for (std::size_t s = 0; s < shards; ++s) flush_shard(s);
   }
+  // Poison pill: every worker terminates once its ring is closed *and*
+  // drained, whether we got here by source exhaustion or by stop().
+  for (auto& ring : rings_) ring->close();
+  // No more enqueues: the shed ladder steps back to normal (counting the
+  // stage exits) and the dispatcher's heartbeat slot retires so the
+  // watchdog stops expecting progress from it.
+  overload_.reset();
+  watchdog_->retire(options_.shards);
 }
 
 // Real-time contract: the steady-state worker path is the engine's
@@ -524,51 +437,16 @@ void Runtime::worker_loop(std::size_t shard) {
                                    : 1000);
   };
 
-  const auto process = [&](net::Packet& packet) {
-    ++processed;
-    datagen::FileClass label = datagen::FileClass::kText;
-    core::PacketAction action;
-    if (sample_every != 0 && processed % sample_every == 0) {
-      const util::Stopwatch watch;
-      action = eng.on_packet(packet, &label);
-      metrics_.record_engine_latency(watch.elapsed_micros());
-    } else {
-      action = eng.on_packet(packet, &label);
-    }
-    // Fold classifications as they happen (including flush_idle batches)
-    // so a live snapshot() sees per-nature counts move in real time.
-    const auto& delays = eng.delays();
-    for (; folded < delays.size(); ++folded) {
-      metrics_.on_classified(delays[folded].label);
-    }
-    if (action == core::PacketAction::kShed) metrics_.on_packets_shed(1);
-    if (action == core::PacketAction::kForwarded ||
-        action == core::PacketAction::kClassifiedNow) {
-      // The handoff may touch the heap (lock + deque node, see
-      // output_queues.cc) — and when the queue refuses, the by-value
-      // parameter is destroyed *here*, in the caller (Itanium ABI), so
-      // the payload retirement needs this scope too.
-      util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block)
-      queues_.enqueue(label, std::move(packet));
-    } else {
-      // A buffered/dropped packet keeps its payload; the next try_pop
-      // move-assign would free it mid-guard, so retire it here.
-      util::rt::AllowScope allow(util::rt::kAlloc);  // analyze: hotpath-allow(may-allocate, unresolved-call)
-      packet = net::Packet();
-    }
-  };
-
   Backoff backoff;
   const std::size_t burst = options_.burst;
-  // Local drain + output buffers for the burst path, allocated (and
-  // first-touched) before the guarded loop.
+  // Local drain + output buffers, allocated (and first-touched) before
+  // the guarded loop.
   std::vector<net::Packet> batch(burst);
   const std::span<net::Packet> window(batch.data(), burst);
   std::vector<core::QueuedPacket> outbox(burst);
 
-  // Burst flavor of the drive: classify the whole batch first, staging
-  // forwarded packets into `outbox`, then cross to the output queues
-  // ONCE — one queue lock (enqueue_burst), one allow scope, and one
+  // Classify the whole batch first, staging forwarded packets into
+  // `outbox`, then cross to the output queues ONCE — one queue lock (enqueue_burst), one allow scope, and one
   // batched payload retirement per burst instead of per packet.
   const auto process_burst = [&](std::span<net::Packet> packets) {
     std::size_t out_n = 0;
@@ -579,7 +457,7 @@ void Runtime::worker_loop(std::size_t shard) {
       if (sample_every != 0 && processed % sample_every == 0) {
         const util::Stopwatch watch;
         action = eng.on_packet(packet, &label);
-        metrics_.record_engine_latency(watch.elapsed_micros());
+        metrics_.record_engine_latency(shard, watch.elapsed_micros());
       } else {
         action = eng.on_packet(packet, &label);
       }
@@ -588,7 +466,7 @@ void Runtime::worker_loop(std::size_t shard) {
       // real time.
       const auto& delays = eng.delays();
       for (; folded < delays.size(); ++folded) {
-        metrics_.on_classified(delays[folded].label);
+        metrics_.on_classified(shard, delays[folded].label);
       }
       if (action == core::PacketAction::kShed) metrics_.on_packets_shed(1);
       if (action == core::PacketAction::kForwarded ||
@@ -601,7 +479,7 @@ void Runtime::worker_loop(std::size_t shard) {
       // in the batched scope below, before the slots are reused.
     }
     {
-      // One output crossing per burst: the queue lock, the deque nodes,
+      // One output crossing per burst: the queue lock, any batch growth,
       // and every payload retirement (refused enqueues and buffered
       // packets alike) under a single documented scope.
       util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block, unresolved-call)
@@ -615,63 +493,33 @@ void Runtime::worker_loop(std::size_t shard) {
   };
   {
     util::rt::GuardRegion guard;
-    if (burst == 1) {
-      // Unbatched flavor: one try_pop round-trip per packet.
-      net::Packet packet;
-      for (;;) {
-        watchdog_->heartbeat(shard);
-        maybe_swap();
-        apply_stage();
-        // Fault injection: an armed stall here freezes this worker long
-        // enough for the watchdog to notice (the sleep happens inside
-        // the armed slow path).
-        (void)FAILPOINT("worker.stall");
-        if (ring.try_pop(packet)) {
-          backoff.reset();
-          metrics_.on_pop(shard);
-          process(packet);
-          continue;
-        }
-        if (ring.closed()) {
-          // Flag observed: one more drain pass is definitive (see
-          // spsc_ring.h termination protocol).
-          while (ring.try_pop(packet)) {
-            metrics_.on_pop(shard);
-            process(packet);
-          }
-          break;
-        }
-        backoff.pause();
+    for (;;) {
+      watchdog_->heartbeat(shard);
+      maybe_swap();
+      apply_stage();
+      // Fault injection: an armed stall here freezes this worker long
+      // enough for the watchdog to notice (the sleep happens inside the
+      // armed slow path).
+      (void)FAILPOINT("worker.stall");
+      std::size_t n = ring.try_pop_burst(window);
+      if (n != 0) {
+        backoff.reset();
+        metrics_.on_pop_burst(shard, n);
+        process_burst(window.first(n));
+        continue;
       }
-    } else {
-      for (;;) {
-        watchdog_->heartbeat(shard);
-        maybe_swap();
-        apply_stage();
-        // Fault injection: an armed stall here freezes this worker long
-        // enough for the watchdog to notice (the sleep happens inside
-        // the armed slow path).
-        (void)FAILPOINT("worker.stall");
-        std::size_t n = ring.try_pop_burst(window);
-        if (n != 0) {
-          backoff.reset();
+      if (ring.closed()) {
+        // Post-close drain uses bursts too, so shutdown costs
+        // O(occupancy / burst) ring operations, not O(occupancy) — and
+        // the same definitive-pass protocol applies: a zero-size burst
+        // after the flag was seen proves exhaustion.
+        while ((n = ring.try_pop_burst(window)) != 0) {
           metrics_.on_pop_burst(shard, n);
           process_burst(window.first(n));
-          continue;
         }
-        if (ring.closed()) {
-          // Post-close drain uses bursts too, so shutdown costs
-          // O(occupancy / burst) ring operations, not O(occupancy) —
-          // and the same definitive-pass protocol applies: a zero-size
-          // burst after the flag was seen proves exhaustion.
-          while ((n = ring.try_pop_burst(window)) != 0) {
-            metrics_.on_pop_burst(shard, n);
-            process_burst(window.first(n));
-          }
-          break;
-        }
-        backoff.pause();
+        break;
       }
+      backoff.pause();
     }
   }
   // Done draining: this heartbeat slot retires so the watchdog stops
@@ -686,7 +534,7 @@ void Runtime::finish_flush() {
     eng.flush_all();
     const auto& delays = eng.delays();
     for (std::size_t i = folded_delays_[s]; i < delays.size(); ++i) {
-      metrics_.on_classified(delays[i].label);
+      metrics_.on_classified(s, delays[i].label);
     }
     folded_delays_[s] = delays.size();
   }

@@ -19,10 +19,14 @@
 // is batched (RuntimeOptions::burst): the dispatcher reads a burst from
 // the source, accumulates per-shard staging buffers, and flushes each
 // as one ring burst; workers drain bursts into a local array — one
-// head/tail acquire/release pair per burst instead of per packet.  When a ring fills, the
-// configured backpressure policy either blocks the dispatcher (lossless;
-// the source feels the stall, exactly like a NIC asserting flow control)
-// or counts the packet as dropped and moves on (lossy, line-rate).
+// head/tail acquire/release pair per burst instead of per packet.
+// Staging is work-conserving: when the source has nothing more ready,
+// a partial buffer is flushed at once if its worker is about to run
+// dry, so a lone packet never waits for a burst to fill.  When a ring
+// fills, the configured backpressure policy either blocks the
+// dispatcher (lossless; the source feels the stall, exactly like a NIC
+// asserting flow control) or counts the packet as dropped and moves on
+// (lossy, line-rate).
 //
 // Lifecycle: construct → start(source) → wait() (source exhausted, rings
 // drained, pending flows flushed) or stop() (early shutdown: dispatcher
@@ -65,17 +69,17 @@ struct RuntimeOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   // Packets moved per ring operation: the dispatcher stages up to this
   // many packets per shard and flushes them with one try_push_burst;
-  // each worker drains up to this many with one try_pop_burst.  1
-  // disables batching entirely (the exact single-item path, one
-  // head/tail round-trip per packet) — use it when per-packet latency
-  // matters more than throughput (e.g. paced low-rate replays, where a
-  // staged packet can wait up to a full burst before flushing).  Values
-  // are clamped to [1, ring_capacity].
+  // each worker drains up to this many with one try_pop_burst.  A
+  // partial burst is flushed as soon as the source runs dry (see
+  // dispatch_loop), so a larger burst costs no latency at low rates.
+  // 1 moves one-packet bursts through the same path.  Values are
+  // clamped to [1, ring_capacity].
   std::size_t burst = 32;
   // Per-nature output queue bound (packets; 0 = unbounded).
   std::size_t output_queue_capacity = 4096;
-  // Record every Nth per-packet engine latency sample (1 = all packets).
-  std::size_t latency_sample_every = 1;
+  // Record every Nth per-packet engine latency sample (1 = all packets,
+  // 0 = none).  Each sample costs a clock pair and a histogram update.
+  std::size_t latency_sample_every = 16;
   // Pin worker i to CPU (i mod hardware_concurrency).  Linux only; a
   // no-op elsewhere.  Off by default: pinning helps steady-state serving
   // but hurts on shared/oversubscribed hosts.
@@ -201,10 +205,6 @@ class Runtime {
 
   void build_rings();
   void dispatch_loop(PacketSource* source);
-  // Flavors behind dispatch_loop: burst == 1 runs the exact single-item
-  // path, burst > 1 stages per shard and flushes ring bursts.
-  void dispatch_single(PacketSource* source);
-  void dispatch_burst(PacketSource* source);
   void worker_loop(std::size_t shard);
   // Requires threads joined: classifies every still-pending flow and
   // folds the remaining per-nature classification counts into metrics.

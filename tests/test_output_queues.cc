@@ -1,11 +1,18 @@
 // Tests for the per-nature output queues (Fig. 1's LQ blocks).
 #include "core/output_queues.h"
 
+#include <array>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "tests/alloc_hook.h"
 
 namespace iustitia::core {
 namespace {
@@ -177,6 +184,131 @@ TEST(OutputQueues, StatsSnapshotIsConsistentAcrossClasses) {
   EXPECT_EQ(stats.high_water[binary], 2u);
   EXPECT_EQ(stats.depth[text], 1u);
   EXPECT_EQ(stats.high_water[encrypted], 0u);
+}
+
+// Two producers burst-enqueue while one consumer dequeues, so the
+// consumer keeps swapping the producers' batches in.  Each producer's
+// packets must come out in order per class across those swaps, the bound
+// must hold whenever the consumer looks, and the totals must balance.
+// A producer whose burst met a full class waits for the consumer to
+// dequeue something before it offers more, so the two sides interleave
+// however the threads are scheduled, and refusals happen too.
+// tools/ci.sh runs this binary under TSan as well.
+TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  constexpr std::uint32_t kPerProducer = 20'000;
+#else
+  constexpr std::uint32_t kPerProducer = 200'000;
+#endif
+  constexpr std::size_t kProducers = 2;
+  constexpr std::size_t kBurst = 16;
+  constexpr std::size_t kCapacity = 64;
+  OutputQueues queues(kCapacity);
+
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> dequeued{0};
+  std::atomic<std::size_t> producers_done{0};
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<QueuedPacket> batch(kBurst);
+      for (std::uint32_t seq = 0; seq < kPerProducer;) {
+        std::size_t n = 0;
+        for (; n < kBurst && seq < kPerProducer; ++n, ++seq) {
+          batch[n].packet.key.src_port = static_cast<std::uint16_t>(p);
+          batch[n].packet.key.src_ip = seq;
+          batch[n].label = static_cast<FileClass>(seq % 3);
+        }
+        const std::uint64_t seen = dequeued.load(std::memory_order_acquire);
+        const std::size_t ok =
+            queues.enqueue_burst(std::span<QueuedPacket>(batch.data(), n));
+        accepted.fetch_add(ok, std::memory_order_relaxed);
+        // A refusal means a class holds kCapacity packets, so the
+        // consumer is bound to dequeue one.
+        while (ok < n && dequeued.load(std::memory_order_acquire) == seen) {
+          std::this_thread::yield();
+        }
+      }
+      producers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  // next_seq[p][c]: the lowest sequence number producer p's class c may
+  // show next.
+  std::array<std::array<std::uint32_t, 3>, kProducers> next_seq{};
+  bool in_order = true;
+  bool bounded = true;
+  for (bool final_pass = false;;) {
+    bool any = false;
+    for (const FileClass c :
+         {FileClass::kText, FileClass::kBinary, FileClass::kEncrypted}) {
+      const auto index = static_cast<std::size_t>(c);
+      bounded = bounded && queues.depth(c) <= kCapacity;
+      for (std::optional<QueuedPacket> item = queues.dequeue(c);
+           item.has_value(); item = queues.dequeue(c)) {
+        any = true;
+        dequeued.fetch_add(1, std::memory_order_acq_rel);
+        const std::size_t p = item->packet.key.src_port;
+        const std::uint32_t seq = item->packet.key.src_ip;
+        if (p >= kProducers) {
+          in_order = false;
+          continue;
+        }
+        in_order = in_order && item->label == c && seq % 3 == index &&
+                   seq >= next_seq[p][index];
+        next_seq[p][index] = seq + 1;
+      }
+    }
+    if (any) continue;
+    // Once every producer has finished nothing more is enqueued: one more
+    // empty sweep after seeing that proves the queues are drained.
+    if (final_pass) break;
+    final_pass =
+        producers_done.load(std::memory_order_acquire) == kProducers;
+    std::this_thread::yield();
+  }
+  for (std::thread& t : producers) t.join();
+
+  EXPECT_TRUE(in_order) << "a producer's packets left a class out of order";
+  EXPECT_TRUE(bounded) << "a class queue exceeded its capacity";
+  const OutputQueueStats stats = queues.stats();
+  std::uint64_t enqueued = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    enqueued += stats.enqueued[c];
+    dropped += stats.dropped[c];
+    EXPECT_EQ(stats.depth[c], 0u);
+    EXPECT_LE(stats.high_water[c], kCapacity);
+  }
+  EXPECT_EQ(enqueued, accepted.load());
+  EXPECT_EQ(enqueued + dropped, std::uint64_t{kProducers} * kPerProducer);
+  EXPECT_EQ(dequeued.load(), enqueued);
+  EXPECT_GT(enqueued, 3 * kCapacity)
+      << "too few packets crossed to force batch swaps";
+}
+
+// A drained queue holds no heap: once the consumer finds a class empty,
+// both of its batch buffers are released, so a long-running server
+// whose output went idle keeps nothing at its burst-time peak.
+TEST(OutputQueues, DrainedQueueKeepsNoBuffers) {
+  OutputQueues queues(0);
+  const std::size_t before = testhooks::live_bytes();
+  {
+    std::vector<QueuedPacket> batch;
+    for (std::uint16_t i = 0; i < 3000; ++i) {
+      batch.push_back(
+          QueuedPacket{packet_of(i), static_cast<FileClass>(i % 3)});
+    }
+    ASSERT_EQ(queues.enqueue_burst(std::span<QueuedPacket>(batch)), 3000u);
+    for (const FileClass c :
+         {FileClass::kText, FileClass::kBinary, FileClass::kEncrypted}) {
+      std::size_t popped = 0;
+      while (queues.dequeue(c).has_value()) ++popped;
+      EXPECT_EQ(popped, 1000u);
+    }
+  }
+  EXPECT_EQ(testhooks::live_bytes(), before)
+      << "a drained OutputQueues still holds batch buffers";
 }
 
 }  // namespace

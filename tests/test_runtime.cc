@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -24,6 +25,7 @@
 #include "core/model_registry.h"
 #include "core/trainer.h"
 #include "net/flow.h"
+#include "net/pcap.h"
 #include "net/trace_gen.h"
 #include "runtime/metrics.h"
 #include "tests/alloc_hook.h"
@@ -143,16 +145,16 @@ TEST(Runtime, ShardCountDoesNotChangeAnyClassification) {
   }
 }
 
-// Burst flavor of the headline property: the batched transport (staged
+// Burst flavor of the headline property: the burst size (staged
 // dispatch, ring bursts, batched output crossing) must not change any
-// classification or lose any packet relative to the single-item path.
+// classification or lose any packet; burst = 1 is the same transport
+// with one-packet bursts.
 TEST(Runtime, BurstSizeDoesNotChangeClassificationsOrLosePackets) {
   const auto factory = model_factory();
   core::EngineOptions engine_options;
   engine_options.buffer_size = 32;
 
   LabelMap expected;
-  std::uint64_t expected_flushes = 0;
   for (const std::size_t burst :
        {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
     RuntimeOptions options;
@@ -177,8 +179,8 @@ TEST(Runtime, BurstSizeDoesNotChangeClassificationsOrLosePackets) {
     if (burst == 1) {
       expected = labels_of(rt.engine());
       ASSERT_FALSE(expected.empty());
-      EXPECT_EQ(snap.total_flushes(), 0u)
-          << "the single-item path must not report dispatch flushes";
+      EXPECT_EQ(snap.total_flushes(), total)
+          << "burst 1 must flush once per packet";
       continue;
     }
     EXPECT_GT(snap.total_flushes(), 0u) << "burst " << burst;
@@ -189,9 +191,102 @@ TEST(Runtime, BurstSizeDoesNotChangeClassificationsOrLosePackets) {
       ASSERT_NE(it, actual.end()) << "burst " << burst;
       EXPECT_EQ(it->second, label) << "burst " << burst;
     }
-    expected_flushes = snap.total_flushes();
   }
-  EXPECT_GT(expected_flushes, 0u);
+}
+
+// Hands the dispatcher one packet, then holds the stream open until the
+// runtime reports that packet popped by its worker (or a deadline
+// passes), and only then ends.  A transport that parks the packet in a
+// staging buffer until end of stream never lets it through in time.
+class OnePacketThenWaitSource final : public PacketSource {
+ public:
+  OnePacketThenWaitSource(net::Packet packet, const Runtime& rt)
+      : packet_(std::move(packet)), rt_(rt) {}
+
+  std::optional<net::Packet> next() override {
+    net::Packet packet;
+    if (next_burst(std::span<net::Packet>(&packet, 1)) == 0) {
+      return std::nullopt;
+    }
+    return packet;
+  }
+
+  std::size_t next_burst(std::span<net::Packet> out) override {
+    if (!sent_) {
+      sent_ = true;
+      out[0] = std::move(packet_);
+      return 1;
+    }
+    if (!waited_) {
+      waited_ = true;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (rt_.snapshot().total_popped() < 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      popped_before_end_ = rt_.snapshot().total_popped() >= 1;
+    }
+    return 0;
+  }
+
+  bool popped_before_end() const noexcept { return popped_before_end_; }
+
+ private:
+  net::Packet packet_;
+  const Runtime& rt_;
+  bool sent_ = false;
+  bool waited_ = false;
+  bool popped_before_end_ = false;
+};
+
+// Work-conserving staging: a short source read means nothing more is
+// ready, so a partial burst goes to its worker at once instead of
+// waiting for 31 more packets of its shard (or the end of the stream).
+TEST(Runtime, PartialBurstFlushesWhenTheSourceRunsDry) {
+  RuntimeOptions options;
+  options.shards = 2;
+  options.burst = 32;
+  options.backpressure = BackpressurePolicy::kBlock;
+  Runtime rt(model_factory(), options);
+  net::Trace trace = net::generate_trace(trace_options(100, 912));
+  ASSERT_FALSE(trace.packets.empty());
+  OnePacketThenWaitSource source(std::move(trace.packets.front()), rt);
+  rt.start(source);
+  rt.wait();
+  EXPECT_TRUE(source.popped_before_end())
+      << "the lone packet stayed staged until the stream ended";
+  const MetricsSnapshot snap = rt.snapshot();
+  EXPECT_EQ(snap.packets_in, 1u);
+  EXPECT_EQ(snap.total_popped(), 1u);
+  EXPECT_EQ(snap.total_flushes(), 1u);
+}
+
+// A paced source returns the packets that are due, not a full span: at
+// 200 pps a 32-packet read would otherwise hold its first packet for the
+// ~160 ms the other 31 take to fall due.  Unpaced sources still fill it.
+TEST(PacketSource, PacedSourcesReturnOnlyDuePackets) {
+  constexpr std::size_t kSpan = 32;
+  std::vector<net::Packet> window(kSpan);
+  const std::span<net::Packet> out(window.data(), kSpan);
+
+  TraceSource paced_trace(trace_options(1000, 913), 200.0);
+  EXPECT_LT(paced_trace.next_burst(out), kSpan);
+
+  const net::Trace trace = net::generate_trace(trace_options(1000, 913));
+  ASSERT_GT(trace.packets.size(), kSpan);
+  std::stringstream capture;
+  {
+    net::PcapWriter writer(capture);
+    for (const net::Packet& packet : trace.packets) writer.write(packet);
+  }
+  PcapReplaySource paced_pcap(capture, 200.0);
+  const std::size_t pcap_read = paced_pcap.next_burst(out);
+  EXPECT_GE(pcap_read, 1u);
+  EXPECT_LT(pcap_read, kSpan);
+
+  TraceSource unpaced(trace_options(1000, 913));
+  EXPECT_EQ(unpaced.next_burst(out), kSpan);
 }
 
 // The per-shard burst-size histogram must account for every pushed
@@ -257,8 +352,7 @@ TEST(Runtime, FullRingsDrainCompletelyAfterCloseUnderBurst) {
 }
 
 // Drop-policy conservation under burst: every source packet is pushed or
-// dropped, everything pushed is popped — same invariant as the
-// single-item path, now accounted burst-at-a-time.
+// dropped, everything pushed is popped, accounted burst-at-a-time.
 TEST(Runtime, DropPolicyCountsEveryLostPacketUnderBurst) {
   RuntimeOptions options;
   options.shards = 1;
@@ -679,18 +773,18 @@ TEST(Metrics, SnapshotIsCoherentUnderConcurrentWriters) {
   std::vector<std::thread> writers;
   for (std::size_t s = 0; s < kShards; ++s) {
     // Thread s owns shard s, preserving the registry's single-writer
-    // contract for high_water while exercising every mutator.
+    // contract for high_water and the per-shard worker counters while
+    // exercising every mutator.
     writers.emplace_back([&metrics, &start, s] {
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        metrics.on_source_packet();
-        metrics.on_push(s, static_cast<std::size_t>(i % 7));
-        metrics.on_pop(s);
-        metrics.on_classified(
-            static_cast<datagen::FileClass>(i % 3));
-        metrics.record_engine_latency(1.5);
+        metrics.on_source_packets(1);
+        metrics.on_push_burst(s, 1, static_cast<std::size_t>(i % 7));
+        metrics.on_pop_burst(s, 1);
+        metrics.on_classified(s, static_cast<datagen::FileClass>(i % 3));
+        metrics.record_engine_latency(s, 1.5);
       }
     });
   }

@@ -17,6 +17,8 @@
 //          [--backpressure block|drop] [--ring N] [--buffer B] [--json]
 //       Serve a pcap through the online runtime (dispatcher + pinned shard
 //       workers + per-nature output queues) and print live-metrics report.
+//       --burst defaults to RuntimeOptions' 32; partial bursts flush as
+//       soon as the source has nothing more ready.
 //   serve <model-file> <trace.pcap> [replay flags] [--port P]
 //         [--bind ADDR] [--port-file PATH] [--once 1]
 //       replay plus the control plane: an admin HTTP server (/healthz,
@@ -106,6 +108,8 @@ int usage() {
       "[--json]\n"
       "         [--cdb-max N] [--overload 0|1] [--watchdog-ms MS]\n"
       "         [--watchdog-fatal 0|1] [--failpoints SPEC]\n"
+      "         --burst: packets per ring operation (default 32); a partial\n"
+      "         burst is flushed as soon as the source has nothing ready\n"
       "  serve <model-file> <trace.pcap> [replay flags] [--port P]\n"
       "        [--bind ADDR] [--port-file PATH] [--once 1]\n";
   return 2;
@@ -278,7 +282,8 @@ int parse_runtime_flags(const Args& args, runtime::RuntimeOptions& options,
                         std::string& policy) {
   options.shards = static_cast<std::size_t>(args.flag_int("shards", 1));
   options.ring_capacity = static_cast<std::size_t>(args.flag_int("ring", 2048));
-  options.burst = static_cast<std::size_t>(args.flag_int("burst", 1));
+  options.burst = static_cast<std::size_t>(
+      args.flag_int("burst", static_cast<long long>(options.burst)));
   if (options.burst == 0) {
     std::cerr << "--burst must be at least 1\n";
     return 2;
