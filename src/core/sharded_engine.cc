@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/rt_guard.h"
 
 namespace iustitia::core {
 
@@ -18,9 +17,8 @@ ShardedIustitia::ShardedIustitia(
   for (std::size_t i = 0; i < shards; ++i) {
     EngineOptions shard_options = options;
     shard_options.seed = options.seed + i;  // independent random-skip streams
-    auto shard = std::make_unique<Shard>();
-    shard->engine = std::make_unique<Iustitia>(model_factory(), shard_options);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(
+        std::make_unique<Iustitia>(model_factory(), shard_options));
   }
 }
 
@@ -37,9 +35,7 @@ ShardedIustitia::ShardedIustitia(
   for (std::size_t i = 0; i < shards; ++i) {
     EngineOptions shard_options = options;
     shard_options.seed = options.seed + i;  // independent random-skip streams
-    auto shard = std::make_unique<Shard>();
-    shard->engine = std::make_unique<Iustitia>(model, shard_options);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Iustitia>(model, shard_options));
   }
 }
 
@@ -50,36 +46,20 @@ std::size_t ShardedIustitia::shard_of(
   return net::FlowKeyHash{}(key) % shards_.size();
 }
 
-// Cross-thread classify entry.  The per-shard lock is the accepted cost
-// of external callers; the runtime's single-owner workers bypass it via
-// shard().
-// analyze: hotpath
-PacketAction ShardedIustitia::on_packet(const net::Packet& packet) {
-  Shard& shard = *shards_[shard_of(packet.key)];
-  util::rt::AllowScope allow(util::rt::kBlock);  // analyze: hotpath-allow(may-block)
-  util::MutexLock lock(shard.mu);
-  return shard.engine->on_packet(packet);
+Iustitia& ShardedIustitia::shard(std::size_t index) {
+  CHECK_LT(index, shards_.size());
+  return *shards_[index];
 }
 
-// Single-owner escape hatch: the caller guarantees no concurrent access to
-// this shard, so the lock is deliberately skipped (and the analysis told so).
-Iustitia& ShardedIustitia::shard(std::size_t index)
-    IUSTITIA_NO_THREAD_SAFETY_ANALYSIS {
+const Iustitia& ShardedIustitia::shard(std::size_t index) const {
   CHECK_LT(index, shards_.size());
-  return *shards_[index]->engine;
-}
-
-const Iustitia& ShardedIustitia::shard(std::size_t index) const
-    IUSTITIA_NO_THREAD_SAFETY_ANALYSIS {
-  CHECK_LT(index, shards_.size());
-  return *shards_[index]->engine;
+  return *shards_[index];
 }
 
 EngineStats ShardedIustitia::total_stats() const {
   EngineStats total;
   for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    const EngineStats& s = shard->engine->stats();
+    const EngineStats& s = shard->stats();
     total.packets += s.packets;
     total.data_packets += s.data_packets;
     total.flows_classified += s.flows_classified;
@@ -96,8 +76,7 @@ EngineStats ShardedIustitia::total_stats() const {
 std::size_t ShardedIustitia::total_cdb_size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    total += shard->engine->cdb().size();
+    total += shard->cdb().size();
   }
   return total;
 }
@@ -105,8 +84,7 @@ std::size_t ShardedIustitia::total_cdb_size() const {
 std::size_t ShardedIustitia::total_flows_classified() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    total += shard->engine->stats().flows_classified;
+    total += shard->stats().flows_classified;
   }
   return total;
 }
@@ -114,8 +92,7 @@ std::size_t ShardedIustitia::total_flows_classified() const {
 std::size_t ShardedIustitia::flush_all() {
   std::size_t flushed = 0;
   for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    flushed += shard->engine->flush_all();
+    flushed += shard->flush_all();
   }
   return flushed;
 }

@@ -9,13 +9,12 @@
 // shard_of() implements the steering function, and each shard is an
 // independent engine the caller may drive from its own thread.
 //
-// Thread safety: each shard is protected by its own annotated mutex, so
-// on_packet() and the aggregate accessors are safe from arbitrary threads.
-// With RSS-style steering (one thread per shard) the per-shard lock is
-// never contended and costs a few nanoseconds; callers without steering
-// can simply call on_packet() from any thread and let the hash route.
-// shard() bypasses the lock for single-owner access (setup, teardown,
-// experiments) — see the method comment.
+// Thread safety: none inside; each shard has exactly one owner at a time.
+// A caller drives shard(shard_of(key)).on_packet from the one thread that
+// owns that shard (the runtime's pinned worker, or a single thread
+// driving every shard), so nothing here takes a lock.  The aggregate
+// accessors and flush_all() read or write every shard: call them from a
+// single thread, or after the shard owners have joined.
 #ifndef IUSTITIA_CORE_SHARDED_ENGINE_H_
 #define IUSTITIA_CORE_SHARDED_ENGINE_H_
 
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "util/thread_annotations.h"
 
 namespace iustitia::core {
 
@@ -47,34 +45,25 @@ class ShardedIustitia {
   // hash, mixing both directions independently like the paper's CDB).
   std::size_t shard_of(const net::FlowKey& key) const noexcept;
 
-  // Routes to the owning shard under that shard's lock; callable from any
-  // thread concurrently.
-  PacketAction on_packet(const net::Packet& packet);
-
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  // Direct, unlocked shard access for a single-owner phase (configuration,
-  // per-thread RSS drive of exactly this shard, post-join inspection).
-  // The caller takes over the serialization the lock would provide.
+  // One shard's engine, for its owner: configuration, the per-thread RSS
+  // drive of exactly this shard, post-join inspection.
   Iustitia& shard(std::size_t index);
   const Iustitia& shard(std::size_t index) const;
 
-  // Aggregated statistics across shards (each shard read under its lock).
+  // Aggregated statistics across shards.  Post-join reads: every shard
+  // owner has joined, or the caller drives all shards itself.
   EngineStats total_stats() const;
   std::size_t total_cdb_size() const;
   std::size_t total_flows_classified() const;
 
-  // Flushes every shard's pending flows.
+  // Flushes every shard's pending flows; same ownership rule as the
+  // aggregates.
   std::size_t flush_all();
 
  private:
-  // One engine plus the lock that serializes cross-thread access to it.
-  struct Shard {
-    mutable util::Mutex mu{"Shard::mu"};
-    std::unique_ptr<Iustitia> engine IUSTITIA_PT_GUARDED_BY(mu);
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Iustitia>> shards_;
 };
 
 }  // namespace iustitia::core

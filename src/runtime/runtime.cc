@@ -87,7 +87,7 @@ Runtime::Runtime(const std::function<core::FlowNatureModel()>& model_factory,
       registry_(nullptr),
       bootstrap_epoch_(0),
       engine_(model_factory, options.engine, options.shards),
-      queues_(options.output_queue_capacity),
+      queues_(options.output_queue_capacity, options.shards),
       metrics_(options.shards),
       overload_(options_.overload, &metrics_),
       folded_delays_(options.shards, 0) {
@@ -106,7 +106,7 @@ Runtime::Runtime(std::shared_ptr<core::ModelRegistry> registry,
       registry_(std::move(registry)),
       bootstrap_epoch_(published.epoch),
       engine_(std::move(published.model), options.engine, options.shards),
-      queues_(options.output_queue_capacity),
+      queues_(options.output_queue_capacity, options.shards),
       metrics_(options.shards),
       overload_(options_.overload, &metrics_),
       folded_delays_(options.shards, 0) {
@@ -446,8 +446,9 @@ void Runtime::worker_loop(std::size_t shard) {
   std::vector<core::QueuedPacket> outbox(burst);
 
   // Classify the whole batch first, staging forwarded packets into
-  // `outbox`, then cross to the output queues ONCE — one queue lock (enqueue_burst), one allow scope, and one
-  // batched payload retirement per burst instead of per packet.
+  // `outbox`, then cross to this shard's output lanes ONCE — one
+  // enqueue_burst, one allow scope, and one batched payload retirement
+  // per burst instead of per packet.
   const auto process_burst = [&](std::span<net::Packet> packets) {
     std::size_t out_n = 0;
     for (net::Packet& packet : packets) {
@@ -479,12 +480,13 @@ void Runtime::worker_loop(std::size_t shard) {
       // in the batched scope below, before the slots are reused.
     }
     {
-      // One output crossing per burst: the queue lock, any batch growth,
-      // and every payload retirement (refused enqueues and buffered
-      // packets alike) under a single documented scope.
+      // One output crossing per burst: this shard's producer lock, any
+      // lane chunk allocation, and every payload retirement (refused
+      // enqueues and buffered packets alike) under a single documented
+      // scope.
       util::rt::AllowScope allow(util::rt::kAlloc | util::rt::kBlock);  // analyze: hotpath-allow(may-allocate, may-block, unresolved-call)
       queues_.enqueue_burst(
-          std::span<core::QueuedPacket>(outbox.data(), out_n));
+          std::span<core::QueuedPacket>(outbox.data(), out_n), shard);
       for (std::size_t j = 0; j < out_n; ++j) {
         outbox[j].packet = net::Packet();
       }

@@ -7,15 +7,19 @@
 //                                               ▼ one pinned worker/shard
 //                                        Iustitia shard (unlocked drive)
 //                                               │
-//                                               ▼
+//                                               ▼ one lane per shard per class
 //                                  per-nature OutputQueues + metrics
 //
 // One dispatcher thread pulls packets from the source and steers each to
 // its flow's shard (ShardedIustitia::shard_of — same 5-tuple, same shard,
 // so per-flow packet order is preserved).  Each shard has a bounded SPSC
 // ring and exactly one worker thread that owns the shard for the whole
-// run and drives it through the unlocked shard() accessor: the classic
-// RSS deployment, no lock on the per-packet path.  The per-packet path
+// run and drives it through the shard() accessor: the classic RSS
+// deployment, no lock on the per-packet path.  Egress follows the same
+// shape: the OutputQueues have one producer per shard, and each worker
+// hands its forwarded packets to its own lanes (enqueue_burst with its
+// shard index), so no two workers share a lock and the egress consumer
+// never waits on one a worker holds.  The per-packet path
 // is batched (RuntimeOptions::burst): the dispatcher reads a burst from
 // the source, accumulates per-shard staging buffers, and flushes each
 // as one ring burst; workers drain bursts into a local array — one

@@ -16,9 +16,9 @@
 //  - acquiring a mutex this thread already holds (recursive acquisition);
 //  - acquiring named lock B while holding named lock A when some thread
 //    has already been seen acquiring A while holding B.
-// Edges between two locks carrying the same name (two shards' `Shard::mu`)
-// are ignored: instance-level hand-over-hand within a class is ordered by
-// the caller, not by this class-level graph.
+// Edges between two locks carrying the same name (two producers'
+// `Producer::mu`) are ignored: instance-level hand-over-hand within a
+// class is ordered by the caller, not by this class-level graph.
 #ifndef IUSTITIA_UTIL_DEADLOCK_DEBUG_H_
 #define IUSTITIA_UTIL_DEADLOCK_DEBUG_H_
 

@@ -61,8 +61,8 @@ namespace iustitia::util {
 //
 // The optional name ties a mutex to its node in the lock-order graph;
 // the convention is the owning member's qualified name, e.g.
-// `util::Mutex mu_{"OutputQueues::mu_"};`.  That string must
-// match the identity the tools/analyze lockorder pass derives
+// `util::Mutex consumer_mu_{"OutputQueues::consumer_mu_"};`.  That
+// string must match the identity the tools/analyze lockorder pass derives
 // (`Class::member`), because IUSTITIA_DEADLOCK_DEBUG builds feed the
 // names into the runtime order registry that is cross-checked against
 // the static graph (tools/check_lock_graph.py).  Unnamed mutexes are

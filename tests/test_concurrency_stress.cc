@@ -1,5 +1,5 @@
-// Concurrency stress tests: many threads hammer ShardedIustitia::on_packet
-// and OutputQueues while pollers read aggregate state.  These are the
+// Concurrency stress tests: shard owners drive ShardedIustitia from their
+// own threads, and many threads hammer OutputQueues.  These are the
 // tests the tsan preset exists for (tools/ci.sh runs them under
 // -fsanitize=thread); under the default build they still verify that
 // concurrent operation loses no packets and keeps counters consistent.
@@ -16,7 +16,6 @@
 #include "appproto/trace_headers.h"
 #include "core/output_queues.h"
 #include "core/trainer.h"
-#include "net/flow.h"
 #include "net/trace_gen.h"
 
 namespace iustitia::core {
@@ -37,60 +36,6 @@ std::function<FlowNatureModel()> model_factory() {
     options.buffer_size = 32;
     return train_model(corpus, options);
   };
-}
-
-// More worker threads than shards, so shard locks are actually contended
-// (unlike the RSS-steered one-thread-per-shard deployment).
-TEST(ConcurrencyStress, ContendedOnPacketLosesNothing) {
-  const std::size_t shard_count = 3;
-  const std::size_t worker_count = 8;
-  EngineOptions options;
-  options.buffer_size = 32;
-  ShardedIustitia sharded(model_factory(), options, shard_count);
-
-  net::TraceOptions trace_options;
-  trace_options.header_source = appproto::standard_header_source();
-  trace_options.target_packets = 12000;
-  trace_options.seed = 171;
-  const net::Trace trace = net::generate_trace(trace_options);
-
-  // Partition by flow (not by shard): a flow's packets stay in order on
-  // one thread, but each shard receives interleaved calls from several
-  // threads at once.
-  const net::FlowKeyHash hasher;
-  std::vector<std::vector<const net::Packet*>> partitions(worker_count);
-  for (const net::Packet& p : trace.packets) {
-    partitions[hasher(p.key) % worker_count].push_back(&p);
-  }
-
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> polls{0};
-  std::thread poller([&sharded, &done, &polls] {
-    // Aggregate readers must be safe while writers run.
-    while (!done.load(std::memory_order_relaxed)) {
-      const EngineStats stats = sharded.total_stats();
-      ASSERT_LE(stats.data_packets, stats.packets);
-      (void)sharded.total_cdb_size();
-      (void)sharded.total_flows_classified();
-      polls.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&sharded, &partitions, w] {
-      for (const net::Packet* p : partitions[w]) sharded.on_packet(*p);
-    });
-  }
-  for (auto& t : workers) t.join();
-  done.store(true, std::memory_order_relaxed);
-  poller.join();
-
-  sharded.flush_all();
-  const EngineStats total = sharded.total_stats();
-  EXPECT_EQ(total.packets, trace.packets.size());
-  EXPECT_GT(total.flows_classified, 0u);
-  EXPECT_GT(polls.load(), 0u);
 }
 
 TEST(ConcurrencyStress, QueuesBalanceUnderProducersAndConsumers) {
@@ -153,11 +98,10 @@ TEST(ConcurrencyStress, QueuesBalanceUnderProducersAndConsumers) {
   EXPECT_GT(dropped, 0u) << "capacity 64 should have forced drops";
 }
 
-// Per-shard single-owner drive through the unlocked shard() escape hatch,
-// with concurrent aggregate polling through the locked accessors: the
-// pattern DESIGN.md documents for RSS deployment.  TSan-visible if the
-// escape hatch is misused internally.
-TEST(ConcurrencyStress, SteeredShardDriveWithConcurrentAggregation) {
+// Per-shard single-owner drive, one thread per shard, with the aggregates
+// read after the owners join: the pattern DESIGN.md documents for RSS
+// deployment.  TSan-visible if shards share state internally.
+TEST(ConcurrencyStress, SteeredShardDriveThenPostJoinAggregation) {
   const std::size_t shard_count = 4;
   EngineOptions options;
   options.buffer_size = 32;
@@ -176,9 +120,8 @@ TEST(ConcurrencyStress, SteeredShardDriveWithConcurrentAggregation) {
   std::vector<std::thread> threads;
   for (std::size_t s = 0; s < shard_count; ++s) {
     threads.emplace_back([&sharded, &by_shard, s] {
-      // on_packet() routes to this thread's shard under its lock; the
-      // steering guarantees no other worker touches that shard.
-      for (const net::Packet* p : by_shard[s]) sharded.on_packet(*p);
+      // The steering guarantees no other thread touches this shard.
+      for (const net::Packet* p : by_shard[s]) sharded.shard(s).on_packet(*p);
     });
   }
   for (auto& t : threads) t.join();

@@ -186,15 +186,16 @@ TEST(OutputQueues, StatsSnapshotIsConsistentAcrossClasses) {
   EXPECT_EQ(stats.high_water[encrypted], 0u);
 }
 
-// Two producers burst-enqueue while one consumer dequeues, so the
-// consumer keeps swapping the producers' batches in.  Each producer's
-// packets must come out in order per class across those swaps, the bound
-// must hold whenever the consumer looks, and the totals must balance.
-// A producer whose burst met a full class waits for the consumer to
-// dequeue something before it offers more, so the two sides interleave
-// however the threads are scheduled, and refusals happen too.
+// Two producers burst-enqueue while one consumer dequeues.  With
+// `own_lanes` each producer passes its own index, as the runtime's shard
+// workers do; without it both share producer 0's lane and its lock.  Each
+// producer's packets must come out in order per class, the bound must
+// hold whenever the consumer looks, and the totals must balance.  A
+// producer whose burst met a full lane waits for the consumer to dequeue
+// something before it offers more, so the two sides interleave however
+// the threads are scheduled, and refusals happen too.
 // tools/ci.sh runs this binary under TSan as well.
-TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
+void run_concurrent_producers(bool own_lanes) {
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   constexpr std::uint32_t kPerProducer = 20'000;
 #else
@@ -203,7 +204,7 @@ TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kBurst = 16;
   constexpr std::size_t kCapacity = 64;
-  OutputQueues queues(kCapacity);
+  OutputQueues queues(kCapacity, own_lanes ? kProducers : 1);
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> dequeued{0};
@@ -211,6 +212,7 @@ TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      const std::size_t lane = own_lanes ? p : 0;
       std::vector<QueuedPacket> batch(kBurst);
       for (std::uint32_t seq = 0; seq < kPerProducer;) {
         std::size_t n = 0;
@@ -220,11 +222,11 @@ TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
           batch[n].label = static_cast<FileClass>(seq % 3);
         }
         const std::uint64_t seen = dequeued.load(std::memory_order_acquire);
-        const std::size_t ok =
-            queues.enqueue_burst(std::span<QueuedPacket>(batch.data(), n));
+        const std::size_t ok = queues.enqueue_burst(
+            std::span<QueuedPacket>(batch.data(), n), lane);
         accepted.fetch_add(ok, std::memory_order_relaxed);
-        // A refusal means a class holds kCapacity packets, so the
-        // consumer is bound to dequeue one.
+        // A refusal means this producer's share of a class is full, so
+        // the consumer is bound to dequeue one.
         while (ok < n && dequeued.load(std::memory_order_acquire) == seen) {
           std::this_thread::yield();
         }
@@ -284,12 +286,80 @@ TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
   EXPECT_EQ(enqueued + dropped, std::uint64_t{kProducers} * kPerProducer);
   EXPECT_EQ(dequeued.load(), enqueued);
   EXPECT_GT(enqueued, 3 * kCapacity)
-      << "too few packets crossed to force batch swaps";
+      << "too few packets crossed to fill and free lane chunks";
+}
+
+TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderAcrossSwaps) {
+  run_concurrent_producers(/*own_lanes=*/false);
+}
+
+TEST(OutputQueues, ConcurrentProducersKeepPerClassOrderInOwnLanes) {
+  run_concurrent_producers(/*own_lanes=*/true);
+}
+
+// One unbounded lane many chunks long: the consumer frees each chunk it
+// reads past, follows the producer's links in order, and frees the last
+// one at the empty pop that ends the drain.
+TEST(OutputQueues, UnboundedLaneDrainsManyChunksInOrder) {
+  constexpr std::uint32_t kPackets = 10'000;  // ~157 chunks of 64
+  OutputQueues queues(0, 2);
+  const std::size_t before = testhooks::live_bytes();
+  std::vector<QueuedPacket> batch(32);
+  for (std::uint32_t seq = 0; seq < kPackets;) {
+    std::size_t n = 0;
+    for (; n < batch.size() && seq < kPackets; ++n, ++seq) {
+      batch[n].packet.key.src_ip = seq;
+      batch[n].label = FileClass::kBinary;
+    }
+    ASSERT_EQ(queues.enqueue_burst(std::span<QueuedPacket>(batch.data(), n),
+                                   /*producer=*/1),
+              n);
+  }
+  EXPECT_EQ(queues.depth(FileClass::kBinary), kPackets);
+  EXPECT_EQ(queues.high_water(FileClass::kBinary), kPackets);
+  for (std::uint32_t seq = 0; seq < kPackets; ++seq) {
+    const std::optional<QueuedPacket> item = queues.dequeue(FileClass::kBinary);
+    ASSERT_TRUE(item.has_value()) << "lost packet " << seq;
+    ASSERT_EQ(item->packet.key.src_ip, seq);
+  }
+  EXPECT_EQ(queues.dequeue(FileClass::kBinary), std::nullopt);
+  EXPECT_EQ(queues.depth(FileClass::kBinary), 0u);
+  EXPECT_EQ(queues.enqueued(FileClass::kBinary), kPackets);
+  batch.clear();
+  batch.shrink_to_fit();
+  EXPECT_EQ(testhooks::live_bytes(), before)
+      << "a drained lane still holds chunks";
+}
+
+// A class's bound is split across its producers' lanes: with capacity 5
+// and 2 producers, producer 0 may hold 3 and producer 1 may hold 2, and a
+// producer whose share is full is refused while the other's has room.
+TEST(OutputQueues, CapacitySplitsAcrossProducerLanes) {
+  OutputQueues queues(5, 2);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(queues.enqueue(FileClass::kText, packet_of(1), 0), i < 3);
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(queues.enqueue(FileClass::kText, packet_of(2), 1), i < 2);
+  }
+  EXPECT_EQ(queues.depth(FileClass::kText), 5u);
+  EXPECT_EQ(queues.enqueued(FileClass::kText), 5u);
+  EXPECT_EQ(queues.dropped(FileClass::kText), 2u);
+  EXPECT_EQ(queues.high_water(FileClass::kText), 5u);
+  // Lanes take turns: one pop frees room in producer 0's share only.
+  const auto first = queues.dequeue(FileClass::kText);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->packet.key.src_port, 1);
+  EXPECT_FALSE(queues.enqueue(FileClass::kText, packet_of(2), 1));
+  EXPECT_TRUE(queues.enqueue(FileClass::kText, packet_of(1), 0));
+  const auto second = queues.dequeue(FileClass::kText);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->packet.key.src_port, 2);
 }
 
 // A drained queue holds no heap: once the consumer finds a class empty,
-// both of its batch buffers are released, so a long-running server
-// whose output went idle keeps nothing at its burst-time peak.
+// its lanes' chunks are released, so a long-running server whose output
+// went idle keeps nothing at its burst-time peak.
 TEST(OutputQueues, DrainedQueueKeepsNoBuffers) {
   OutputQueues queues(0);
   const std::size_t before = testhooks::live_bytes();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -325,6 +326,148 @@ TEST(Runtime, BurstHistogramAccountsForEveryPush) {
   EXPECT_NE(snap.text_report().find("mean burst"), std::string::npos);
   EXPECT_NE(snap.json().find("\"flushes\""), std::string::npos);
   EXPECT_NE(snap.json().find("\"mean_burst\""), std::string::npos);
+}
+
+// What a live egress consumer saw while the runtime ran.
+struct EgressRun {
+  std::uint64_t dequeued = 0;
+  bool in_flow_order = true;   // timestamps non-decreasing per FlowKey
+  std::size_t deepest = 0;     // largest class depth it observed
+};
+
+constexpr std::size_t kLiveEgressPackets = kEquivalencePackets / 2;
+
+// Packets a runtime with `options` forwards on the seeded trace.  A
+// sharded engine driven from one thread gives each shard its packets in
+// trace order, as the runtime's workers see them, so it takes the same
+// actions.  (EngineStats::queue_packets is no substitute: it also counts
+// flows that flush_idle and flush_all classify, which forward nothing.)
+std::uint64_t forwarded_by_direct_drive(const RuntimeOptions& options,
+                                        std::uint64_t seed) {
+  core::ShardedIustitia engine(model_factory(), options.engine,
+                               options.shards);
+  const net::Trace trace =
+      net::generate_trace(trace_options(kLiveEgressPackets, seed));
+  std::uint64_t forwarded = 0;
+  for (const net::Packet& packet : trace.packets) {
+    const core::PacketAction action =
+        engine.shard(engine.shard_of(packet.key)).on_packet(packet);
+    forwarded += action == core::PacketAction::kForwarded ||
+                 action == core::PacketAction::kClassifiedNow;
+  }
+  return forwarded;
+}
+
+// Replays a trace through `rt` while a consumer thread round-robins
+// OutputQueues::dequeue over the three classes, the way the benchmark's
+// consumer does, and checks per-flow order as packets leave.  With
+// `yield_between_pops` the consumer gives its core away after every pop,
+// so the workers outrun it and bounded queues fill.
+EgressRun replay_with_live_consumer(Runtime& rt, std::uint64_t seed,
+                                    bool yield_between_pops) {
+  TraceSource source(trace_options(kLiveEgressPackets, seed));
+  std::atomic<bool> producers_done{false};
+  EgressRun run;
+  std::thread consumer([&] {
+    std::unordered_map<net::FlowKey, double, net::FlowKeyHash> last_stamp;
+    core::OutputQueues& queues = rt.output_queues();
+    for (bool final_pass = false;;) {
+      bool any = false;
+      for (const datagen::FileClass c :
+           {datagen::FileClass::kText, datagen::FileClass::kBinary,
+            datagen::FileClass::kEncrypted}) {
+        run.deepest = std::max(run.deepest, queues.depth(c));
+        const std::optional<core::QueuedPacket> item = queues.dequeue(c);
+        if (!item.has_value()) continue;
+        any = true;
+        ++run.dequeued;
+        const auto [it, first] = last_stamp.try_emplace(
+            item->packet.key, item->packet.timestamp);
+        if (!first) {
+          run.in_flow_order =
+              run.in_flow_order && item->packet.timestamp >= it->second;
+          it->second = item->packet.timestamp;
+        }
+        if (yield_between_pops) std::this_thread::yield();
+      }
+      if (any) continue;
+      // Once the runtime has joined nothing more is enqueued: one more
+      // empty sweep after seeing that proves the queues are drained.
+      if (final_pass) break;
+      final_pass = producers_done.load(std::memory_order_acquire);
+      std::this_thread::yield();
+    }
+  });
+  rt.start(source);
+  rt.wait();
+  producers_done.store(true, std::memory_order_release);
+  consumer.join();
+  return run;
+}
+
+// Egress drained while the workers run: every forwarded packet reaches
+// the consumer exactly once, none is refused by an unbounded queue, and
+// each flow's packets leave in the order the source produced them (a flow
+// is steered to one shard, and a shard's lane is FIFO).
+TEST(Runtime, LiveEgressConsumerGetsEveryForwardedPacketInFlowOrder) {
+  RuntimeOptions options;
+  options.shards = 2;
+  options.burst = 32;
+  options.backpressure = BackpressurePolicy::kBlock;
+  options.output_queue_capacity = 0;
+  options.engine.buffer_size = 32;
+  Runtime rt(model_factory(), options);
+  const EgressRun run = replay_with_live_consumer(rt, 913, false);
+
+  const MetricsSnapshot snap = rt.snapshot();
+  const core::EngineStats engine = rt.engine().total_stats();
+  std::uint64_t enqueued = 0;
+  std::uint64_t refused = 0;
+  std::uint64_t classified_into_queues = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    enqueued += snap.queue_stats.enqueued[c];
+    refused += snap.queue_stats.dropped[c];
+    classified_into_queues += engine.queue_packets[c];
+    EXPECT_EQ(snap.queue_stats.depth[c], 0u);
+  }
+  const std::uint64_t forwarded = forwarded_by_direct_drive(options, 913);
+  EXPECT_GT(run.dequeued, 0u);
+  EXPECT_EQ(run.dequeued, enqueued);
+  EXPECT_EQ(enqueued, forwarded);
+  EXPECT_LE(forwarded, classified_into_queues);
+  EXPECT_EQ(refused, 0u);
+  EXPECT_TRUE(run.in_flow_order) << "a flow's packets left out of order";
+}
+
+// The same live drain against bounded queues and a slow consumer: every
+// forwarded packet is accepted or counted as refused, the consumer gets
+// exactly the accepted ones, and no class ever reports more than its
+// bound (split across the two shards' lanes).
+TEST(Runtime, LiveEgressConsumerKeepsBoundedQueuesWithinCapacity) {
+  constexpr std::size_t kCapacity = 64;
+  RuntimeOptions options;
+  options.shards = 2;
+  options.burst = 32;
+  options.backpressure = BackpressurePolicy::kBlock;
+  options.output_queue_capacity = kCapacity;
+  options.engine.buffer_size = 32;
+  Runtime rt(model_factory(), options);
+  const EgressRun run = replay_with_live_consumer(rt, 914, true);
+
+  const MetricsSnapshot snap = rt.snapshot();
+  std::uint64_t enqueued = 0;
+  std::uint64_t refused = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    enqueued += snap.queue_stats.enqueued[c];
+    refused += snap.queue_stats.dropped[c];
+    EXPECT_LE(snap.queue_stats.high_water[c], kCapacity);
+  }
+  const std::uint64_t forwarded = forwarded_by_direct_drive(options, 914);
+  EXPECT_GT(forwarded, 0u);
+  EXPECT_EQ(enqueued + refused, forwarded);
+  EXPECT_EQ(run.dequeued, enqueued);
+  EXPECT_LE(run.deepest, kCapacity);
+  EXPECT_TRUE(run.in_flow_order) << "a flow's packets left out of order";
 }
 
 // After close(), a worker's final drain runs burst pops until a zero

@@ -70,7 +70,7 @@ TEST(ShardedIustitia, MatchesSingleEngineResults) {
   const net::Trace trace = small_trace();
   for (const net::Packet& p : trace.packets) {
     single.on_packet(p);
-    sharded.on_packet(p);
+    sharded.shard(sharded.shard_of(p.key)).on_packet(p);
   }
   single.flush_all();
   sharded.flush_all();

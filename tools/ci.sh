@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: the full ctest matrix under every sanitizer preset, the
 # repo lint + analyze passes, the deadlock-debug and rt-debug
-# cross-checks, and the perf smoke.  Maps onto tier-1 verify as follows:
+# cross-checks, the repo benchmark's correctness smoke, and the perf
+# smoke.  Maps onto tier-1 verify as follows:
 # the `default` preset IS the tier-1 build/test command (same binary dir,
 # same cache), so a green ci.sh implies a green tier-1 run.
 #
@@ -329,6 +330,29 @@ if kill -0 "$chaos_pid" 2>/dev/null; then
   exit 1
 fi
 wait "$chaos_pid"
+
+stage "flowbench-smoke"
+# The repo benchmark's workloads (BENCHMARK.json) for 1 s each at seed 1,
+# gated on correctness only: every replay drains egress with a live
+# consumer thread while the workers run, and flowbench checks packet
+# conservation, zero loss, and the event and forwarded counts against a
+# direct drive of the same trace (flowbench/README.md).  The last stdout
+# line is the run's JSON; no timing is gated here.
+python3 - <<'PYEOF'
+import json, subprocess, sys
+spec = json.load(open("BENCHMARK.json"))
+for workload in (w["name"] for w in spec["workloads"]):
+    out = subprocess.run(
+        [sys.executable, "flowbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        stdout=subprocess.PIPE, text=True)
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    assert result.get("correct") is True, (workload, out.returncode, result)
+    assert result.get("failed") == 0, (workload, result)
+    print(f"flowbench-smoke: {workload} correct, 0 failed "
+          f"of {result['attempted']}")
+PYEOF
 
 stage "perf-smoke"
 # Reduced-size run of the entropy-kernel microbench, gated on >30%
